@@ -19,6 +19,7 @@ import numpy as np
 from .core import MatrixPencil, probe_regularity
 from .errors import InconsistentInitialState, InvalidParams, PencilError
 from .indices import (
+    GrowthEstimate,
     estimate_resolvent_index_complex,
     estimate_resolvent_index_real,
     index_relations_check,
@@ -42,7 +43,7 @@ from .solver import (
     mild_solution_residual,
     weierstrass_solve,
 )
-from .weierstrass import build_zero_dynamics, decompose, reconstruct
+from .weierstrass import build_zero_dynamics, decompose
 
 __all__ = ["main"]
 
@@ -65,56 +66,46 @@ def _dynamics_pencil(obj) -> MatrixPencil:
     return obj.pencil if isinstance(obj, PhPencil) else obj
 
 
-def _estimator_config(args, pencil: MatrixPencil) -> dict:
+def _index_report(
+    args, pencil: MatrixPencil, decomp
+) -> tuple[dict, GrowthEstimate, GrowthEstimate]:
+    """The index report and the real and complex growth estimates in it."""
     omega = args.omega if args.omega is not None else _default_omega(pencil)
-    return {
-        "omega": omega,
-        "lambda_max": omega * args.lambda_span,
-        "num_points": args.num_points,
-        "num_lines": args.num_lines,
-    }
-
-
-def _index_report(args, pencil: MatrixPencil) -> dict:
-    cfg = _estimator_config(args, pencil)
-    decomp = decompose(pencil)
-    real = estimate_resolvent_index_real(pencil, cfg["omega"], cfg["lambda_max"], cfg["num_points"])
+    lambda_max = omega * args.lambda_span
+    real = estimate_resolvent_index_real(pencil, omega, lambda_max, args.num_points)
     cplx = estimate_resolvent_index_complex(
-        pencil, cfg["omega"], cfg["lambda_max"], cfg["num_lines"], cfg["num_points"]
+        pencil, omega, lambda_max, args.num_lines, args.num_points
     )
     p_rad = args.radiality_p if args.radiality_p is not None else max(0, decomp.nilpotency_index - 1)
     rad = verify_radiality(
         pencil,
         p_rad,
-        cfg["omega"],
+        omega,
         args.box_radius,
         n_max=args.n_max,
         num_samples=args.num_samples,
         seed=args.seed,
     )
-    return {
+    report = {
         "nilpotency": decomp.nilpotency_index,
         "real": real.as_dict(),
         "complex": cplx.as_dict(),
         "radiality": rad.as_dict(),
         "relations": index_relations_check(decomp, real, rad),
         "seed": args.seed,
-        "config": cfg,
+        "config": {
+            "omega": omega,
+            "lambda_max": lambda_max,
+            "num_points": args.num_points,
+            "num_lines": args.num_lines,
+        },
     }
+    return report, real, cplx
 
 
 def _cmd_decompose(args) -> int:
     obj = _load_input(args.input)
-    pencil = _dynamics_pencil(obj)
-    if not probe_regularity(pencil, seed=args.seed):
-        _emit_error("IrregularPencil", "no sampled shift was invertible")
-        return EXIT_VERIFICATION_FAILED
-    decomp = decompose(pencil)
-    rec = reconstruct(decomp)
-    residual = float(
-        np.linalg.norm(rec.E - pencil.E, 2) + np.linalg.norm(rec.A - pencil.A, 2)
-    )
-    report = decomposition_to_dict(decomp, residual)
+    report = decomposition_to_dict(decompose(_dynamics_pencil(obj)))
     report["seed"] = args.seed
     save_json(os.path.join(args.output_dir, "decompose.json"), report)
     return EXIT_OK
@@ -123,7 +114,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_indices(args) -> int:
     obj = _load_input(args.input)
     pencil = _dynamics_pencil(obj)
-    save_json(os.path.join(args.output_dir, "indices.json"), _index_report(args, pencil))
+    report = _index_report(args, pencil, decompose(pencil))[0]
+    save_json(os.path.join(args.output_dir, "indices.json"), report)
     return EXIT_OK
 
 
@@ -148,12 +140,10 @@ def _cmd_analyze(args) -> int:
         _emit_error("IrregularPencil", "no sampled shift was invertible")
         return EXIT_VERIFICATION_FAILED
     decomp = decompose(pencil)
-    rec = reconstruct(decomp)
-    residual = float(np.linalg.norm(rec.E - pencil.E, 2) + np.linalg.norm(rec.A - pencil.A, 2))
-    report["decomposition"] = decomposition_to_dict(decomp, residual)
-    report["indices"] = _index_report(args, pencil)
+    report["decomposition"] = decomposition_to_dict(decomp)
+    report["indices"], real, cplx = _index_report(args, pencil, decomp)
     if isinstance(obj, PhPencil):
-        ph_report = verify_ph_structure(obj, omega=args.omega)
+        ph_report = verify_ph_structure(obj, decomp=decomp, estimates=(real, cplx))
         report["ph"] = ph_report_to_dict(ph_report)
         if not ph_report.structure_ok:
             status = EXIT_VERIFICATION_FAILED
@@ -173,7 +163,10 @@ def _parse_x0(args, n: int) -> np.ndarray:
         raise ValueError("simulate requires --x0 or --x0-file")
     if len(vals) != n:
         raise ValueError(f"x0 has length {len(vals)}, expected {n}")
-    return np.array(vals, dtype=complex)
+    x0 = np.array(vals, dtype=complex)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 contains NaN or Inf entries")
+    return x0
 
 
 def _cmd_simulate(args) -> int:
@@ -224,12 +217,18 @@ def _cmd_simulate(args) -> int:
         report["solver_agreement"] = None
         report["weierstrass_note"] = str(exc)
     if isinstance(obj, PhPencil):
-        trace = dissipation_trace(obj, traj)
-        traj = traj.with_hamiltonian(trace.H)
-        report["hamiltonian_max_increase"] = trace.max_increase
+        try:
+            trace = dissipation_trace(obj, traj)
+        except ValueError as exc:
+            report["failure"] = "HamiltonianFailed"
+            report["hamiltonian_note"] = str(exc)
+            _emit_error("HamiltonianFailed", str(exc))
+        else:
+            traj = traj.with_hamiltonian(trace.H)
+            report["hamiltonian_max_increase"] = trace.max_increase
     save_trajectory_csv(os.path.join(args.output_dir, "trajectory.csv"), traj)
     save_json(os.path.join(args.output_dir, "simulate.json"), report)
-    return EXIT_OK
+    return EXIT_VERIFICATION_FAILED if "failure" in report else EXIT_OK
 
 
 def _cmd_example(args) -> int:

@@ -84,31 +84,31 @@ class ResolventSample:
     in_resolvent_set: bool
 
 
+def _invertible_shifts(pencil: MatrixPencil, trials: int, seed: int):
+    """Draw ``trials`` shifts uniformly from the disk of radius 2*(||E|| + ||A||)
+    and yield ``(lam, cond)`` for each with sigma_min > 1e-12 * max(sigma_max, 1)."""
+    rng = np.random.default_rng(seed)
+    radius = 2.0 * (spectral_norm(pencil.E) + spectral_norm(pencil.A))
+    for _ in range(trials):
+        lam = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        sig = np.linalg.svd(pencil.shifted(lam), compute_uv=False)
+        if sig[-1] > 1e-12 * max(sig[0], 1.0):
+            yield lam, sig[0] / sig[-1]
+
+
 def probe_regularity(pencil: MatrixPencil, trials: int | None = None, seed: int = 0) -> bool:
     """Pseudo-random check that det(lambda*E - A) is not identically zero.
 
     Draws ``trials`` shifts (default max(16, n+1): the determinant is a
     polynomial of degree at most n, so n+1 samples cannot all be roots)
-    from a disk of radius 2*(||E|| + ||A||) and returns True as soon as
-    one of them is numerically invertible.
+    and returns True as soon as one of them is numerically invertible.
     """
     n = pencil.n
     if trials is None:
         trials = max(16, n + 1)
     if trials < n + 1:
         raise ValueError(f"trials must be at least n+1 = {n + 1}")
-    rng = np.random.default_rng(seed)
-    radius = 2.0 * (spectral_norm(pencil.E) + spectral_norm(pencil.A))
-    if radius == 0.0:
-        return False
-    for _ in range(trials):
-        r = radius * np.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        lam = r * np.exp(1j * phi)
-        sig = np.linalg.svd(pencil.shifted(lam), compute_uv=False)
-        if sig[-1] > 1e-12 * max(sig[0], 1.0):
-            return True
-    return False
+    return next(_invertible_shifts(pencil, trials, seed), None) is not None
 
 
 def _checked_shift(pencil: MatrixPencil, lam: complex) -> np.ndarray:

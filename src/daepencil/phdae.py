@@ -10,7 +10,7 @@ the resolvent-index bounds and semigroup subspace conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,26 +113,15 @@ class PhReport:
     failures: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "symmetry_residual": self.symmetry_residual,
-            "psd_min_eig": self.psd_min_eig,
-            "dissipativity_max_eig": self.dissipativity_max_eig,
-            "q_condition": self.q_condition,
-            "e_rank": self.e_rank,
-            "symmetry_ok": self.symmetry_ok,
-            "psd_ok": self.psd_ok,
-            "dissipativity_ok": self.dissipativity_ok,
-            "q_ok": self.q_ok,
-            "structure_ok": self.structure_ok,
-            "c_T": self.c_T,
-            "c_S": self.c_S,
-            "real_index": None if self.real_index is None else self.real_index.as_dict(),
-            "complex_index": None if self.complex_index is None else self.complex_index.as_dict(),
-            "subspace_conditions": None
-            if self.subspace_conditions is None
-            else list(self.subspace_conditions),
-            "failures": list(self.failures),
-        }
+        """Every field except the matrices T and S, as JSON-ready values."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("T", "S")}
+        for key in ("real_index", "complex_index"):
+            if out[key] is not None:
+                out[key] = out[key].as_dict()
+        if self.subspace_conditions is not None:
+            out["subspace_conditions"] = list(self.subspace_conditions)
+        out["failures"] = list(self.failures)
+        return out
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -318,13 +307,14 @@ def semigroup_condition_check(
 def verify_ph_structure(
     ph: PhPencil,
     omega: float | None = None,
-    lambda_max: float = 1e3,
-    num_points: int = 64,
+    decomp: WeierstrassDecomposition | None = None,
+    estimates: tuple[GrowthEstimate, GrowthEstimate] | None = None,
 ) -> PhReport:
     """Full structural audit: residuals, T and S, index estimates, subspaces.
 
-    Structural failures never raise; every quantity that cannot be computed
-    is reported as None together with a failure message.
+    ``decomp`` and the (real, complex) ``estimates`` of (E, AQ) are computed
+    here unless given, the estimates on (omega, 1e3 * omega].  Failures never
+    raise; a quantity that cannot be computed is None, with a failure message.
     """
     sym, psd_min, dis_max, cond_q, e_rank = structural_residuals(ph)
     scale_eq = max(spectral_norm(ph.E) * spectral_norm(ph.Q), 1e-300)
@@ -337,7 +327,7 @@ def verify_ph_structure(
 
     failures: list[str] = []
     T = c_T = S = c_S = None
-    real_index = complex_index = None
+    real_index, complex_index = estimates or (None, None)
     subspace = None
     if q_ok:
         try:
@@ -350,17 +340,20 @@ def verify_ph_structure(
             failures.append(f"make_S: {exc}")
     else:
         failures.append(f"Q condition number {cond_q:.3e} exceeds {Q_COND_MAX:.0e}")
+    if estimates is None:
+        try:
+            pencil = ph.pencil
+            w = _default_omega(pencil) if omega is None else omega
+            real_index = estimate_resolvent_index_real(pencil, w, w * 1e3)
+            complex_index = estimate_resolvent_index_complex(pencil, w, w * 1e3)
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"index estimation: {exc}")
     try:
-        pencil = ph.pencil
-        w = _default_omega(pencil) if omega is None else omega
-        real_index = estimate_resolvent_index_real(pencil, w, w * lambda_max, num_points)
-        complex_index = estimate_resolvent_index_complex(pencil, w, w * lambda_max, 4, num_points)
-    except Exception as exc:  # noqa: BLE001
-        failures.append(f"index estimation: {exc}")
-    try:
-        from .weierstrass import decompose
+        if decomp is None:
+            from .weierstrass import decompose
 
-        subspace = semigroup_condition_check(ph, decompose(ph.pencil))
+            decomp = decompose(ph.pencil)
+        subspace = semigroup_condition_check(ph, decomp)
     except Exception as exc:  # noqa: BLE001
         failures.append(f"subspace conditions: {exc}")
 

@@ -79,9 +79,13 @@ def pencil_from_dict(data: dict) -> MatrixPencil | PhPencil:
 
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file with mode 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -121,8 +125,8 @@ def load_pencil(path: str) -> MatrixPencil | PhPencil:
         return pencil_from_dict(json.load(fh))
 
 
-def decomposition_to_dict(decomp: WeierstrassDecomposition, residual: float | None = None) -> dict:
-    out = {
+def decomposition_to_dict(decomp: WeierstrassDecomposition) -> dict:
+    return {
         "n": decomp.n,
         "d1": decomp.d1,
         "d2": decomp.d2,
@@ -133,10 +137,8 @@ def decomposition_to_dict(decomp: WeierstrassDecomposition, residual: float | No
         "T_R": matrix_to_json(decomp.T_R),
         "P": matrix_to_json(decomp.P),
         "R": matrix_to_json(decomp.R),
+        "reconstruction_residual": decomp.reconstruction_residual,
     }
-    if residual is not None:
-        out["reconstruction_residual"] = float(residual)
-    return out
 
 
 def ph_report_to_dict(report: PhReport) -> dict:

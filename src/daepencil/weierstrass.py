@@ -1,21 +1,24 @@
 """Weierstrass-form decomposition of regular pencils.
 
 ``decompose`` brings ``(E, A)`` to the equivalent pair
-``(blkdiag(I, N), blkdiag(A1, I))`` with nilpotent ``N`` via a reordered
-generalized Schur factorization followed by block decoupling with a coupled
-generalized Sylvester solve.  ``spectral_projectors`` recovers the same
-splitting through the large-shift limit of powers of the scaled
+``(blkdiag(I, N), blkdiag(A1, I))`` with nilpotent ``N``.  The finite and
+infinite deflating subspaces are the range and kernel of powers of the
+pseudo-resolvents at a shift in the resolvent set, and a kernel-flag basis
+makes ``N`` strictly upper triangular.  ``spectral_projectors`` recovers the
+same splitting through the large-shift limit of powers of the scaled
 pseudo-resolvent, as an independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .core import MatrixPencil, as_complex_matrix, probe_regularity, spectral_norm
+from .core import (
+    MatrixPencil, _invertible_shifts, as_complex_matrix, probe_regularity, spectral_norm,
+)
 from .errors import DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence
 
 __all__ = [
@@ -45,6 +48,8 @@ class WeierstrassDecomposition:
     P: np.ndarray
     R: np.ndarray
     nilpotency_index: int
+    #: ||E_rec - E|| + ||A_rec - A|| of ``reconstruct``; set by ``decompose``
+    reconstruction_residual: float | None = None
 
     @property
     def n(self) -> int:
@@ -99,10 +104,10 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     The generalized eigenvalues split the spectrum into a finite part (d1
     values) and an infinite part (d2 values); a generalized eigenvalue
     (alpha, beta) counts as infinite when |beta| <= tol * (|alpha| + |beta|).
-    QZ computes infinite eigenvalues of nilpotency degree k with a beta of
-    order eps^{1-1/k}, which for k >= 2 exceeds any fixed tolerance, so the
-    classification tolerance is relaxed step by step and each resulting
-    candidate split is validated by its reconstruction residual.
+    QZ computes infinite eigenvalues of nilpotency degree k with a relative
+    beta of order eps^{1/k}, which for k >= 2 exceeds any fixed tolerance,
+    so the classification tolerance is relaxed step by step and each
+    resulting candidate split is validated by its reconstruction residual.
 
     For a candidate split the transformations come from the exact subspace
     identities at a shift mu in the resolvent set: powers of the right
@@ -110,9 +115,11 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     finite-eigenvalue deflating subspace and kernel equal to the infinite
     one, and the left pseudo-resolvent E (mu E - A)^{-1} gives the codomain
     pair.  This avoids the eps^{1/k} accuracy loss of reordered-QZ
-    decoupling for higher-degree nilpotent blocks.
+    decoupling for higher-degree nilpotent blocks.  Finding a shift already
+    proves regularity; only when none is found is the pencil probed further.
     """
-    if not probe_regularity(pencil, trials=max(16, pencil.n + 1), seed=0):
+    shifts = _shift_candidates(pencil)
+    if not shifts and not probe_regularity(pencil, trials=max(16, pencil.n + 1), seed=0):
         raise IrregularPencil("pencil is numerically singular for all probed shifts")
     scale = spectral_norm(pencil.E) + spectral_norm(pencil.A)
 
@@ -127,7 +134,7 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
 
     last_error: Exception | None = None
     for d1 in d1_candidates:
-        for mu in _shift_candidates(pencil):
+        for mu in shifts:
             try:
                 decomp = _decompose_at(pencil, d1, mu)
             except (IllConditionedTransform, np.linalg.LinAlgError) as exc:
@@ -136,7 +143,7 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
             rec = reconstruct(decomp)
             residual = spectral_norm(rec.E - pencil.E) + spectral_norm(rec.A - pencil.A)
             if residual <= 1e-8 * max(scale, 1e-300):
-                return decomp
+                return replace(decomp, reconstruction_residual=residual)
             last_error = IllConditionedTransform(
                 f"reconstruction residual {residual:.3e} for split d1 = {d1}"
             )
@@ -145,16 +152,8 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
 
 def _shift_candidates(pencil: MatrixPencil, count: int = 4):
     """A few well-spread shifts in the resolvent set, best-conditioned first."""
-    radius = 2.0 * (spectral_norm(pencil.E) + spectral_norm(pencil.A))
-    rng = np.random.default_rng(12345)
-    found = []
-    for _ in range(4 * count):
-        lam = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        sig = np.linalg.svd(pencil.shifted(lam), compute_uv=False)
-        if sig[-1] > 1e-12 * max(sig[0], 1.0):
-            found.append((sig[0] / sig[-1], lam))
-    found.sort(key=lambda t: t[0])
-    return [lam for _, lam in found[:count]]
+    found = sorted(_invertible_shifts(pencil, 4 * count, seed=12345), key=lambda s: s[1])
+    return [lam for lam, _ in found[:count]]
 
 
 def _range_and_kernel(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -13,6 +13,7 @@ from daepencil import (
     right_pseudo_resolvent,
     spectral_norm,
 )
+from daepencil.core import _invertible_shifts
 from daepencil.errors import SingularShift
 
 
@@ -61,6 +62,16 @@ class TestProbeRegularity:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             probe_regularity(MatrixPencil(np.eye(3), np.eye(3)), trials=2)
+
+    def test_shift_sampler_draws(self):
+        # the disk sampler shared by probe_regularity and decompose
+        p = MatrixPencil(np.eye(3), np.diag([1.0, 2.0, 3.0]))
+        radius = 2.0 * (spectral_norm(p.E) + spectral_norm(p.A))
+        rng = np.random.default_rng(12345)
+        expected = [
+            radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(8)
+        ]
+        assert [lam for lam, _ in _invertible_shifts(p, 8, seed=12345)] == expected
 
 
 class TestResolvent:

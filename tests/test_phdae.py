@@ -63,6 +63,14 @@ class TestVerifyStructure:
         assert not rep.psd_ok
         assert not rep.structure_ok
 
+    def test_reuses_given_decomposition_and_estimates(self):
+        ph = build_nanorod(NanorodParams(n_grid=4))
+        full = verify_ph_structure(ph)
+        reused = verify_ph_structure(
+            ph, decomp=decompose(ph.pencil), estimates=(full.real_index, full.complex_index)
+        )
+        assert reused.as_dict() == full.as_dict()
+
     def test_structural_failure_does_not_raise(self):
         # non-symmetric E*Q: flags off, report still produced
         rep = verify_ph_structure(PhPencil(np.array([[1.0, 1.0], [0.0, 1.0]]), -np.eye(2), np.eye(2)))

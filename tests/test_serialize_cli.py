@@ -2,11 +2,14 @@
 
 import json
 import os
+import stat
+import sys
 
 import numpy as np
 import pytest
 
-from daepencil import MatrixPencil, PhPencil, Trajectory
+import daepencil
+from daepencil import MatrixPencil, NanorodParams, PhPencil, Trajectory, build_nanorod
 from daepencil.cli import main
 from daepencil.serialize import (
     atomic_write_text,
@@ -88,6 +91,16 @@ class TestAtomicWrite:
         atomic_write_text(path, "first")
         atomic_write_text(path, "second")
         assert open(path).read() == "second"
+        assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
+
+    def test_mode_follows_umask(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        old = os.umask(0o022)
+        try:
+            atomic_write_text(path, "text")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
     def test_deterministic_json_bytes(self, tmp_path):
@@ -177,6 +190,14 @@ class TestCliPipeline:
         assert report["regular"] is True
         assert "decomposition" in report and "indices" in report and "ph" in report
 
+    def test_decompose_irregular_exit_1(self, tmp_path, capsys):
+        N = np.array([[0.0, 1.0], [0.0, 0.0]])
+        pencil_file = str(tmp_path / "irregular.json")
+        save_pencil(pencil_file, MatrixPencil(N, N))
+        assert main(["decompose", pencil_file, "--output-dir", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IrregularPencil"
+        assert not os.path.exists(str(tmp_path / "decompose.json"))
+
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)]) == 2
 
@@ -188,6 +209,28 @@ class TestCliPipeline:
     def test_wrong_x0_length_exit_2(self, tmp_path, scalar_pencil_file):
         code = main(["simulate", scalar_pencil_file, "--x0", "1,2", "--output-dir", str(tmp_path)])
         assert code == 2
+
+    def test_nonfinite_x0_exit_2(self, tmp_path, scalar_pencil_file):
+        out = str(tmp_path / "out")
+        assert main(["simulate", scalar_pencil_file, "--x0", "nan", "--output-dir", out]) == 2
+        x0_file = str(tmp_path / "x0.json")
+        with open(x0_file, "w") as fh:
+            json.dump([[float("inf"), 0.0]], fh)
+        assert main(["simulate", scalar_pencil_file, "--x0-file", x0_file, "--output-dir", out]) == 2
+        assert not os.path.exists(os.path.join(out, "simulate.json"))
+
+    def test_simulate_hamiltonian_failure_exit_1(self, tmp_path):
+        # E*Q = -1 is not positive semidefinite, so H(x) = -|x|^2 is rejected
+        out = str(tmp_path)
+        pencil_file = os.path.join(out, "ph.json")
+        save_pencil(pencil_file, PhPencil([[1.0]], [[-1.0]], [[-1.0]]))
+        assert main(["simulate", pencil_file, "--x0", "1", "--output-dir", out]) == 1
+        report = json.load(open(os.path.join(out, "simulate.json")))
+        assert report["failure"] == "HamiltonianFailed"
+        assert "negative" in report["hamiltonian_note"]
+        traj = load_trajectory_csv(os.path.join(out, "trajectory.csv"))
+        assert traj.hamiltonian is None
+        assert np.max(np.abs(traj.states[:, 0] - np.exp(traj.times))) <= 1e-6
 
     def test_invalid_model_params_exit_2(self, tmp_path):
         assert main(["example", "nanorod", "--n-grid", "2", "--output-dir", str(tmp_path)]) == 2
@@ -217,3 +260,61 @@ class TestCliPipeline:
         cfg = str(tmp_path / "cfg.json")
         open(cfg, "w").write("[1,2]")
         assert main(["--config", cfg, "decompose", scalar_pencil_file]) == 2
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of daepencil functions, patched wherever they were imported."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "daepencil"]
+    for name in names:
+        original = getattr(daepencil, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.fixture
+def ph_pencil_file(tmp_path):
+    path = str(tmp_path / "ph.json")
+    save_pencil(path, build_nanorod(NanorodParams(n_grid=4)))
+    return path
+
+
+class TestAnalyzeSharesWork:
+    def test_each_stage_runs_once(self, tmp_path, monkeypatch, ph_pencil_file):
+        counts = _count_calls(
+            monkeypatch,
+            [
+                "decompose",
+                "reconstruct",
+                "probe_regularity",
+                "estimate_resolvent_index_real",
+                "estimate_resolvent_index_complex",
+                "resolvent_norm",
+            ],
+        )
+        code = main(["analyze", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "10"])
+        assert code == 0
+        assert counts == {
+            "decompose": 1,
+            "reconstruct": 1,
+            "probe_regularity": 1,
+            "estimate_resolvent_index_real": 1,
+            "estimate_resolvent_index_complex": 1,
+            "resolvent_norm": 64 + 4 * 64,
+        }
+
+    def test_ph_section_uses_estimator_flags(self, tmp_path, ph_pencil_file):
+        out = str(tmp_path)
+        args = ["--lambda-span", "100", "--num-points", "16", "--num-samples", "10"]
+        assert main(["analyze", ph_pencil_file, "--output-dir", out, *args]) == 0
+        report = json.load(open(os.path.join(out, "analyze.json")))
+        assert report["ph"]["real_index"] == report["indices"]["real"]
+        assert report["ph"]["complex_index"] == report["indices"]["complex"]
+        assert report["ph"]["real_index"]["omega"] == report["indices"]["config"]["omega"]

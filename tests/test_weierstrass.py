@@ -63,6 +63,13 @@ class TestDecompose:
             assert spectral_norm(p.A @ d.P - d.R @ p.A) <= 1e-8 * max(spectral_norm(p.A), 1.0)
             assert round(np.trace(d.P).real) == d.d1
 
+    def test_records_accepted_residual(self):
+        rng = np.random.default_rng(3)
+        p = random_regular_pencil(rng, 3, 2)
+        d = decompose(p)
+        assert d.reconstruction_residual == _reconstruction_residual(p, d)
+        assert d.reconstruction_residual <= 1e-8 * (spectral_norm(p.E) + spectral_norm(p.A))
+
     def test_irregular_raises(self):
         N = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(IrregularPencil):
