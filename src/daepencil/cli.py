@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .core import MatrixPencil, probe_regularity
-from .errors import InconsistentInitialState, InvalidParams, PencilError
+from .errors import InconsistentInitialState, InvalidParams, OverflowRisk, PencilError
 from .indices import (
     GrowthEstimate,
     estimate_resolvent_index_complex,
@@ -213,7 +213,7 @@ def _cmd_simulate(args) -> int:
         traj_w = weierstrass_solve(decomp, x0, times)
         scale = max(float(np.max(np.abs(traj_w.states))), 1e-300)
         report["solver_agreement"] = float(np.max(np.abs(traj.states - traj_w.states)) / scale)
-    except InconsistentInitialState as exc:
+    except (InconsistentInitialState, OverflowRisk) as exc:
         report["solver_agreement"] = None
         report["weierstrass_note"] = str(exc)
     if isinstance(obj, PhPencil):

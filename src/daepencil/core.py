@@ -8,8 +8,10 @@ routine here is pure: inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularShift
 
@@ -22,6 +24,7 @@ __all__ = [
     "probe_regularity",
     "resolvent",
     "resolvent_norm",
+    "resolvent_apply",
     "right_pseudo_resolvent",
     "left_pseudo_resolvent",
 ]
@@ -73,6 +76,12 @@ class MatrixPencil:
 
     def shifted(self, lam: complex) -> np.ndarray:
         return lam * self.E - self.A
+
+    @cached_property
+    def qz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(S, T, Q, Z): complex QZ form E = Q S Z*, A = Q T Z*, S and T upper triangular."""
+        T, S, Q, Z = scipy.linalg.qz(self.A, self.E, output="complex")
+        return S, T, Q, Z
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,18 @@ def resolvent_norm(pencil: MatrixPencil, lam: complex) -> ResolventSample:
     ok = sig[-1] > 0.0 and sig[0] / sig[-1] <= kappa_max(pencil.n)
     nrm = float(1.0 / sig[-1]) if sig[-1] > 0.0 else np.inf
     return ResolventSample(lam=lam, norm=nrm, in_resolvent_set=bool(ok))
+
+
+def resolvent_apply(pencil: MatrixPencil, lams: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(lambda*E - A)^{-1} b for each shift in ``lams`` as rows, by back-substitution on
+    the QZ form lambda*S - T vectorised over the shifts: O(m n^2) flops, O(m n) memory."""
+    S, T, Q, Z = pencil.qz
+    c = Q.conj().T @ b
+    y = np.empty((pencil.n, len(lams)), dtype=complex)
+    for i in range(pencil.n - 1, -1, -1):
+        rest = y[i + 1 :]
+        y[i] = (c[i] - lams * (S[i, i + 1 :] @ rest) + T[i, i + 1 :] @ rest) / (lams * S[i, i] - T[i, i])
+    return (Z @ y).T
 
 
 def right_pseudo_resolvent(pencil: MatrixPencil, lam: complex) -> np.ndarray:

@@ -10,10 +10,12 @@ pseudo-resolvent products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+import scipy.linalg
 
-from .core import MatrixPencil, ResolventSample, resolvent_norm, spectral_norm
+from .core import MatrixPencil, ResolventSample, resolvent_apply, resolvent_norm, spectral_norm
 from .errors import ShiftOutsideResolventSet
 from .solver import QuadratureConfig, bromwich_integral
 
@@ -180,17 +182,16 @@ def _max_radiality_ratio(
     num_samples: int,
     rng: np.random.Generator,
 ) -> float:
-    E = pencil.E
+    # (lam E - A)^{-1} E = Z (lam S - T)^{-1} S Z*, E (lam E - A)^{-1} = Q S (lam S - T)^{-1} Q*,
+    # and (lam S - T)^{-1} S = (I + (lam S - T)^{-1} T) / lam: the exact I keeps large lam accurate
+    S, T = pencil.qz[:2]
+    eye, solve = np.eye(pencil.n), scipy.linalg.solve_triangular
     worst = 0.0
     for _ in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
         n = int(rng.integers(1, n_max + 1))
-        right = np.eye(pencil.n, dtype=complex)
-        left = np.eye(pencil.n, dtype=complex)
-        for lam in lams:
-            shifted = pencil.shifted(lam)
-            right = right @ np.linalg.solve(shifted, E)
-            left = left @ (E @ np.linalg.inv(shifted))
+        right = reduce(np.matmul, [(eye + solve(x * S - T, T)) / x for x in lams])
+        left = reduce(np.matmul, [(eye + solve(x * S - T, T.T, trans="T").T) / x for x in lams])
         weight = float(np.prod(np.abs(lams - omega)) ** n)
         norm = max(
             spectral_norm(np.linalg.matrix_power(right, n)),
@@ -292,13 +293,10 @@ def integrated_semigroup_sample(
         m = n + j
         result = result + (t ** (m - 1) / factorial(m - 1)) * Ajx
         Ajx = A1 @ Ajx
-    eye = np.eye(A1.shape[0], dtype=complex)
+    pencil = MatrixPencil(np.eye(A1.shape[0]), A1)
 
     def integrand(lams: np.ndarray) -> np.ndarray:
-        out = np.empty((len(lams), len(x)), dtype=complex)
-        for i, lam in enumerate(lams):
-            out[i] = lam ** (-(n - 1) - J) * np.linalg.solve(lam * eye - A1, Ajx)
-        return out
+        return (lams ** (-(n - 1) - J))[:, None] * resolvent_apply(pencil, lams, Ajx)
 
     tail = bromwich_integral(integrand, omega, np.array([t]), quad)[0]
     return result + tail

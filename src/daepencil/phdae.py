@@ -250,9 +250,7 @@ def dissipation_trace(ph: PhPencil, traj: Trajectory) -> DissipationTrace:
 
 
 def _default_omega(pencil: MatrixPencil) -> float:
-    import scipy.linalg
-
-    alpha, beta = scipy.linalg.eig(pencil.A, pencil.E, right=False, homogeneous_eigvals=True)
+    beta, alpha = map(np.diag, pencil.qz[:2])  # eigenvalues alpha/beta of the shared QZ form
     finite = np.abs(beta) > 1e-10 * (np.abs(alpha) + np.abs(beta))
     re_max = float(np.max((alpha[finite] / beta[finite]).real)) if np.any(finite) else 0.0
     return max(re_max, 0.0) + 1.0

@@ -197,7 +197,9 @@ def _kernel_flag_basis(N: np.ndarray) -> np.ndarray:
     working precision by the singular value gaps of its powers.
     """
     d = N.shape[0]
-    scale = max(spectral_norm(N), 1e-300)
+    scale = spectral_norm(N)
+    if scale <= 1e-10:  # N is rounding noise, the floor of nilpotency_index_of
+        return np.eye(d, dtype=complex)
     M = np.eye(d, dtype=complex)
     blocks: list[np.ndarray] = []
     covered = 0

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.linalg
+import os
 
-from daepencil import MatrixPencil
+# One BLAS thread per process, set before numpy loads, so that wall-time
+# gates do not depend on what else shares the machine's cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402
+
+from daepencil import MatrixPencil  # noqa: E402
 
 
 def random_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:

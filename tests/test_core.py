@@ -5,7 +5,12 @@ import pytest
 from conftest import random_complex, random_regular_pencil
 
 from daepencil import (
+    L2ExampleParams,
     MatrixPencil,
+    NanorodParams,
+    build_l2_example,
+    build_nanorod,
+    build_zero_dynamics,
     left_pseudo_resolvent,
     probe_regularity,
     resolvent,
@@ -13,7 +18,7 @@ from daepencil import (
     right_pseudo_resolvent,
     spectral_norm,
 )
-from daepencil.core import _invertible_shifts
+from daepencil.core import _invertible_shifts, resolvent_apply
 from daepencil.errors import SingularShift
 
 
@@ -157,3 +162,74 @@ class TestPseudoResolvents:
             fd = (f(lam + h) - f(lam - h)) / (2.0 * h)
             exact = -n * np.linalg.matrix_power(right_pseudo_resolvent(p, lam), n + 1) @ z
             assert np.linalg.norm(fd - exact) <= 1e-4 * max(np.linalg.norm(exact), 1e-12)
+
+
+def _dense_solves(pencil, lams, b):
+    """Reference: one dense LU solve of lambda*E - A per shift."""
+    rhs = np.broadcast_to(b, (len(lams), pencil.n))[..., None]
+    return np.linalg.solve(lams[:, None, None] * pencil.E - pencil.A, rhs)[..., 0]
+
+
+def _shifts(omega):
+    """A vertical line Re = omega and a real ray, both reaching |lambda| = 1e4."""
+    ys = np.geomspace(1e-2, 1e4, 17)
+    return np.concatenate([omega + 1j * np.concatenate([-ys, [0.0], ys]), omega * np.geomspace(1.0, 1e4, 9)])
+
+
+def _relative_errors(x, ref):
+    return np.linalg.norm(x - ref, axis=1) / np.linalg.norm(ref, axis=1)
+
+
+class TestQz:
+    def test_factors(self):
+        rng = np.random.default_rng(4)
+        p = random_regular_pencil(rng, 4, 3)
+        S, T, Q, Z = p.qz
+        assert np.allclose(S, np.triu(S)) and np.allclose(T, np.triu(T))
+        assert np.allclose(Q.conj().T @ Q, np.eye(7)) and np.allclose(Z.conj().T @ Z, np.eye(7))
+        assert spectral_norm(Q @ S @ Z.conj().T - p.E) <= 1e-12 * spectral_norm(p.E)
+        assert spectral_norm(Q @ T @ Z.conj().T - p.A) <= 1e-12 * spectral_norm(p.A)
+
+    def test_computed_once(self):
+        p = MatrixPencil(np.eye(2), np.diag([1.0, 2.0]))
+        assert p.qz is p.qz
+
+
+class TestResolventApply:
+    @pytest.mark.parametrize(
+        "pencil",
+        [
+            build_nanorod(NanorodParams(n_grid=4)).pencil,
+            build_l2_example(L2ExampleParams(K=40)),
+            build_zero_dynamics(np.diag(-np.arange(1.0, 5.0)), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil,
+        ],
+        ids=["nanorod", "l2", "zero-dyn"],
+    )
+    def test_models_match_dense(self, pencil):
+        rng = np.random.default_rng(0)
+        b = random_complex(rng, pencil.n)
+        lams = _shifts(1.0)  # the models' finite spectra lie in Re <= 0
+        assert np.max(_relative_errors(resolvent_apply(pencil, lams, b), _dense_solves(pencil, lams, b))) <= 1e-12
+
+    @pytest.mark.parametrize("d2", [1, 2, 3])
+    def test_random_pencils_match_dense(self, d2):
+        # a random strictly upper triangular N of size d2 has index d2
+        rng = np.random.default_rng(d2)
+        for _ in range(3):
+            p = random_regular_pencil(rng, 5, d2, stable=True)
+            b = random_complex(rng, p.n)
+            lams = _shifts(1.0)
+            x = resolvent_apply(p, lams, b)
+            for lam, xi in zip(lams, x):
+                M = lam * p.E - p.A
+                backward = spectral_norm((M @ xi - b)[:, None]) / (spectral_norm(M) * np.linalg.norm(xi))
+                assert backward <= 1e-14
+            # both solves are backward stable, so they differ by up to
+            # eps * cond(lambda E - A), which reaches 1e14 at index 3
+            cond = np.array([np.linalg.cond(lam * p.E - p.A) for lam in lams])
+            assert np.all(_relative_errors(x, _dense_solves(p, lams, b)) <= np.maximum(1e-12, 1e-14 * cond))
+
+    def test_shape_and_scalar_case(self):
+        p = MatrixPencil(np.eye(1), [[-1.0]])
+        lams = np.array([1.0, 2.0 + 3.0j])
+        assert np.allclose(resolvent_apply(p, lams, np.array([2.0])), (2.0 / (lams + 1.0))[:, None])

@@ -7,6 +7,8 @@ from conftest import random_well_conditioned
 
 from daepencil import (
     MatrixPencil,
+    NanorodParams,
+    build_nanorod,
     build_zero_dynamics,
     decompose,
     estimate_resolvent_index_complex,
@@ -17,6 +19,7 @@ from daepencil import (
     verify_radiality,
 )
 from daepencil.errors import ShiftOutsideResolventSet
+from daepencil.indices import _max_radiality_ratio
 
 N2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -84,6 +87,46 @@ class TestRadiality:
         a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
         b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
         assert a.max_ratio == b.max_ratio
+
+
+def _dense_radiality_ratio(pencil, p, omega, box_radius, n_max, num_samples, rng):
+    """Reference: dense solves and inverses of lambda*E - A at every shift."""
+    E = pencil.E
+    worst = 0.0
+    for _ in range(num_samples):
+        lams = omega + box_radius * rng.uniform(size=p + 1)
+        n = int(rng.integers(1, n_max + 1))
+        right = np.eye(pencil.n, dtype=complex)
+        left = np.eye(pencil.n, dtype=complex)
+        for lam in lams:
+            shifted = pencil.shifted(lam)
+            right = right @ np.linalg.solve(shifted, E)
+            left = left @ (E @ np.linalg.inv(shifted))
+        weight = float(np.prod(np.abs(lams - omega)) ** n)
+        norm = max(
+            np.linalg.norm(np.linalg.matrix_power(right, n), 2),
+            np.linalg.norm(np.linalg.matrix_power(left, n), 2),
+        )
+        worst = max(worst, norm * weight)
+    return worst
+
+
+class TestRadialityRatio:
+    @pytest.mark.parametrize(
+        "pencil, p",
+        [
+            (build_nanorod(NanorodParams(n_grid=4)).pencil, 1),
+            (build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil, 0),
+            (MatrixPencil(scipy.linalg.block_diag(np.eye(3), N2), scipy.linalg.block_diag(-np.eye(3), np.eye(2))), 2),
+        ],
+        ids=["nanorod", "zero-dyn", "nilpotent"],
+    )
+    @pytest.mark.parametrize("box_radius", [10.0, 1e3])
+    def test_matches_dense_reference(self, pencil, p, box_radius):
+        args = (pencil, p, 0.5, box_radius, 3, 40)
+        fast = _max_radiality_ratio(*args, np.random.default_rng(7))
+        ref = _dense_radiality_ratio(*args, np.random.default_rng(7))
+        assert fast == pytest.approx(ref, rel=1e-10)
 
 
 class TestIndexRelations:

@@ -71,6 +71,14 @@ class TestVerifyStructure:
         )
         assert reused.as_dict() == full.as_dict()
 
+    def test_random_ph_subspace_conditions_computed(self):
+        # their index-1 N blocks are rounding noise, which decompose once refused
+        for n in (4, 5, 6):
+            for seed in range(6):
+                rep = verify_ph_structure(random_ph_pencil(n, seed=seed))
+                assert not any(f.startswith("subspace conditions") for f in rep.failures)
+                assert rep.subspace_conditions is not None
+
     def test_structural_failure_does_not_raise(self):
         # non-symmetric E*Q: flags off, report still produced
         rep = verify_ph_structure(PhPencil(np.array([[1.0, 1.0], [0.0, 1.0]]), -np.eye(2), np.eye(2)))

@@ -7,10 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import daepencil
+import daepencil.cli
 from daepencil import MatrixPencil, NanorodParams, PhPencil, Trajectory, build_nanorod
 from daepencil.cli import main
+from daepencil.errors import OverflowRisk
 from daepencil.serialize import (
     atomic_write_text,
     load_pencil,
@@ -232,6 +235,20 @@ class TestCliPipeline:
         assert traj.hamiltonian is None
         assert np.max(np.abs(traj.states[:, 0] - np.exp(traj.times))) <= 1e-6
 
+    def test_simulate_keeps_contour_solve_on_overflow(self, tmp_path, monkeypatch, scalar_pencil_file):
+        def overflow(*args, **kwargs):
+            raise OverflowRisk("exp(M t) has entries beyond e^700")
+
+        monkeypatch.setattr(daepencil.cli, "weierstrass_solve", overflow)
+        out = str(tmp_path)
+        assert main(["simulate", scalar_pencil_file, "--x0", "1", "--output-dir", out]) == 0
+        report = json.load(open(os.path.join(out, "simulate.json")))
+        assert report["solver_agreement"] is None
+        assert "e^700" in report["weierstrass_note"]
+        assert report["mild_residual"] <= 1e-6
+        traj = load_trajectory_csv(os.path.join(out, "trajectory.csv"))
+        assert np.max(np.abs(traj.states[:, 0] - np.exp(-traj.times))) <= 1e-6
+
     def test_invalid_model_params_exit_2(self, tmp_path):
         assert main(["example", "nanorod", "--n-grid", "2", "--output-dir", str(tmp_path)]) == 2
 
@@ -318,3 +335,30 @@ class TestAnalyzeSharesWork:
         assert report["ph"]["real_index"] == report["indices"]["real"]
         assert report["ph"]["complex_index"] == report["indices"]["complex"]
         assert report["ph"]["real_index"]["omega"] == report["indices"]["config"]["omega"]
+
+
+class TestOneQzPerCall:
+    @pytest.fixture
+    def qz_calls(self, monkeypatch):
+        calls = []
+        original = scipy.linalg.qz
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qz", counted)
+        return calls
+
+    def test_analyze(self, tmp_path, qz_calls, ph_pencil_file):
+        assert main(["analyze", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "10"]) == 0
+        assert len(qz_calls) == 1
+
+    def test_simulate(self, tmp_path, qz_calls, ph_pencil_file):
+        pencil = load_pencil(ph_pencil_file).pencil
+        # x0 in the range of the pseudo-resolvent power, hence admissible
+        z = np.random.default_rng(0).standard_normal(pencil.n)
+        x0 = np.linalg.matrix_power(np.linalg.solve(3.0 * pencil.E - pencil.A, pencil.E), 4) @ z
+        arg = ",".join(f"{v:.17g}" for v in (x0 / np.max(np.abs(x0))).real)
+        assert main(["simulate", ph_pencil_file, "--x0", arg, "--output-dir", str(tmp_path)]) == 0
+        assert len(qz_calls) == 1

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from daepencil import (
+    L2ExampleParams,
     MatrixPencil,
     QuadratureConfig,
     SolveConfig,
     Trajectory,
     admissible_initial_state,
+    build_l2_example,
     build_zero_dynamics,
     contour_solve,
     decompose,
@@ -158,6 +160,23 @@ class TestMatrixExponential:
 
     def test_empty_block(self):
         assert matrix_exponential(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_large_rotation_no_overflow(self):
+        # ||M|| = 1000 but exp(M t) is unitary
+        out = matrix_exponential(np.array([[0.0, 1000.0], [-1000.0, 0.0]]))
+        c, s = np.cos(1000.0), np.sin(1000.0)
+        assert np.allclose(out, [[c, s], [-s, c]], atol=1e-9)
+
+    def test_l2_finite_block_no_overflow(self):
+        # A1 of l2 K=40 is stable, but ||A1|| ~ 4e5 and its logarithmic norm
+        # ~ 2e5 after the ill-conditioned Weierstrass transforms
+        pencil = build_l2_example(L2ExampleParams(K=40))
+        d = decompose(pencil)
+        z = np.random.default_rng(1).standard_normal(pencil.n)
+        x0 = np.linalg.matrix_power(np.linalg.solve(3.0 * pencil.E - pencil.A, pencil.E), 4) @ z
+        traj = weierstrass_solve(d, x0 / np.max(np.abs(x0)), np.linspace(0.0, 1.0, 11))
+        assert np.all(np.isfinite(traj.states))
+        assert np.max(np.abs(traj.states)) <= 10.0
 
 
 class TestMildResidual:

@@ -9,6 +9,7 @@ from daepencil import (
     MatrixPencil,
     build_zero_dynamics,
     decompose,
+    random_ph_pencil,
     reconstruct,
     resolvent_norm,
     spectral_norm,
@@ -41,6 +42,15 @@ class TestDecompose:
         d = decompose(model.pencil)
         assert d.nilpotency_index == 2
         assert d.d2 == 2
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_index_one_with_rounding_noise_N(self, n):
+        # the N block of these pencils comes out with ||N|| ~ 1e-17
+        for seed in range(6):
+            p = random_ph_pencil(n, seed=seed).pencil
+            d = decompose(p)
+            assert d.nilpotency_index == 1
+            assert _reconstruction_residual(p, d) <= 1e-8 * (spectral_norm(p.E) + spectral_norm(p.A))
 
     def test_invariants_randomized(self):
         rng = np.random.default_rng(0)
