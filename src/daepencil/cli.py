@@ -70,7 +70,7 @@ def _index_report(
     args, pencil: MatrixPencil, decomp
 ) -> tuple[dict, GrowthEstimate, GrowthEstimate]:
     """The index report and the real and complex growth estimates in it."""
-    omega = args.omega if args.omega is not None else _default_omega(pencil)
+    omega = args.omega if args.omega is not None else _default_omega(pencil, decomp.d1)
     lambda_max = omega * args.lambda_span
     real = estimate_resolvent_index_real(pencil, omega, lambda_max, args.num_points)
     cplx = estimate_resolvent_index_complex(
@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
     pencil = _dynamics_pencil(obj)
     x0 = _parse_x0(args, pencil.n)
     decomp = decompose(pencil)
-    omega = args.omega if args.omega is not None else _default_omega(pencil)
+    omega = args.omega if args.omega is not None else _default_omega(pencil, decomp.d1)
     # p >= 2 keeps the contour integrand decaying like |lambda|^-3 so the
     # truncated Bromwich line converges; p >= nilpotency covers the DAE part
     p = args.p if args.p is not None else max(2, decomp.nilpotency_index)
@@ -183,7 +183,7 @@ def _cmd_simulate(args) -> int:
     config = SolveConfig(mu=mu, omega=omega, p=p, quad=quad)
     times = np.linspace(0.0, args.t_final, args.num_steps + 1)
 
-    member, z0, adm_residual = admissible_initial_state(pencil, mu, p, x0)
+    member, z0, adm_residual = admissible_initial_state(pencil, mu, p, x0, decomp)
     report = {
         "seed": args.seed,
         "config": {
@@ -209,6 +209,7 @@ def _cmd_simulate(args) -> int:
     traj = contour_solve(pencil, z0, config, times)
     traj = traj.with_mild_residual(mild_solution_residual(pencil, traj))
     report["mild_residual"] = traj.mild_residual
+    report["quadrature"] = traj.quadrature
     try:
         traj_w = weierstrass_solve(decomp, x0, times)
         scale = max(float(np.max(np.abs(traj_w.states))), 1e-300)

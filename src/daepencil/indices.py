@@ -298,5 +298,5 @@ def integrated_semigroup_sample(
     def integrand(lams: np.ndarray) -> np.ndarray:
         return (lams ** (-(n - 1) - J))[:, None] * resolvent_apply(pencil, lams, Ajx)
 
-    tail = bromwich_integral(integrand, omega, np.array([t]), quad)[0]
+    tail = bromwich_integral(integrand, omega, np.array([t]), quad)[0][0]
     return result + tail

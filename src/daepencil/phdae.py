@@ -18,7 +18,7 @@ from .core import MatrixPencil, as_complex_matrix, resolvent_norm, spectral_norm
 from .errors import NoSpectralGap, ShiftOutsideResolventSet, SingularQ
 from .indices import GrowthEstimate, estimate_resolvent_index_complex, estimate_resolvent_index_real
 from .solver import Trajectory
-from .weierstrass import WeierstrassDecomposition
+from .weierstrass import WeierstrassDecomposition, decompose
 
 __all__ = [
     "PhPencil",
@@ -249,10 +249,12 @@ def dissipation_trace(ph: PhPencil, traj: Trajectory) -> DissipationTrace:
     return DissipationTrace(H=H, max_increase=max_increase, identity_gap=gap)
 
 
-def _default_omega(pencil: MatrixPencil) -> float:
-    beta, alpha = map(np.diag, pencil.qz[:2])  # eigenvalues alpha/beta of the shared QZ form
-    finite = np.abs(beta) > 1e-10 * (np.abs(alpha) + np.abs(beta))
-    re_max = float(np.max((alpha[finite] / beta[finite]).real)) if np.any(finite) else 0.0
+def _default_omega(pencil: MatrixPencil, d1: int) -> float:
+    # QZ puts the infinite eigenvalues of an index-k block at |beta| / (|alpha| + |beta|) ~ eps^{1/k},
+    # above any fixed cut, so the d1 finite eigenvalues alpha/beta are those with the largest ratio
+    beta, alpha = map(np.diag, pencil.qz[:2])
+    finite = np.argsort(np.abs(alpha) / (np.abs(alpha) + np.abs(beta)), kind="stable")[:d1]
+    re_max = float(np.max((alpha[finite] / beta[finite]).real)) if d1 else 0.0
     return max(re_max, 0.0) + 1.0
 
 
@@ -265,7 +267,7 @@ def ph_index_bound_check(
     """(real index <= 2, complex index <= 3) for the pencil (E, AQ)."""
     pencil = ph.pencil
     if omega is None:
-        omega = _default_omega(pencil)
+        omega = _default_omega(pencil, decompose(pencil).d1)
     for probe in np.geomspace(omega, omega * lambda_max, 8):
         if not resolvent_norm(pencil, complex(probe)).in_resolvent_set:
             raise ShiftOutsideResolventSet(f"lambda = {probe} on the real ray is singular")
@@ -338,22 +340,21 @@ def verify_ph_structure(
             failures.append(f"make_S: {exc}")
     else:
         failures.append(f"Q condition number {cond_q:.3e} exceeds {Q_COND_MAX:.0e}")
-    if estimates is None:
+    try:
+        decomp = decomp if decomp is not None else decompose(ph.pencil)
+        subspace = semigroup_condition_check(ph, decomp)
+    except Exception as exc:  # noqa: BLE001
+        failures.append(f"subspace conditions: {exc}")
+    if estimates is None and omega is None and decomp is None:
+        failures.append("index estimation: the default omega needs the decomposition")
+    elif estimates is None:
         try:
             pencil = ph.pencil
-            w = _default_omega(pencil) if omega is None else omega
+            w = _default_omega(pencil, decomp.d1) if omega is None else omega
             real_index = estimate_resolvent_index_real(pencil, w, w * 1e3)
             complex_index = estimate_resolvent_index_complex(pencil, w, w * 1e3)
         except Exception as exc:  # noqa: BLE001
             failures.append(f"index estimation: {exc}")
-    try:
-        if decomp is None:
-            from .weierstrass import decompose
-
-            decomp = decompose(ph.pencil)
-        subspace = semigroup_condition_check(ph, decomp)
-    except Exception as exc:  # noqa: BLE001
-        failures.append(f"subspace conditions: {exc}")
 
     return PhReport(
         symmetry_residual=sym,

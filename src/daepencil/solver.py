@@ -13,7 +13,7 @@ with R(lambda) = (lambda E - A)^{-1} E; then x(0) = x0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +25,7 @@ from .errors import (
     QuadratureNotConverged,
     ShiftOutsideResolventSet,
 )
+from .weierstrass import WeierstrassDecomposition, decompose
 
 __all__ = [
     "QuadratureConfig",
@@ -81,6 +82,7 @@ class Trajectory:
     states: np.ndarray  # shape (len(times), n)
     hamiltonian: np.ndarray | None = None
     mild_residual: float | None = None
+    quadrature: dict | None = None  # the contour quadrature's record, see bromwich_integral
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -95,74 +97,80 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
     def with_hamiltonian(self, h: np.ndarray) -> "Trajectory":
-        return Trajectory(self.times, self.states, np.asarray(h, float), self.mild_residual)
+        return replace(self, hamiltonian=np.asarray(h, float))
 
     def with_mild_residual(self, r: float) -> "Trajectory":
-        return Trajectory(self.times, self.states, self.hamiltonian, r)
+        return replace(self, mild_residual=r)
 
 
-def _gauss_panels(omega: float, half_length: float, panel_length: float, nodes: int):
-    """Gauss-Legendre nodes/weights on [omega - iT, omega + iT]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    num_panels = max(2, int(np.ceil(2.0 * half_length / panel_length)))
-    edges = np.linspace(-half_length, half_length, num_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    ys = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    ws = (halves[:, None] * w[None, :]).ravel()
-    return omega + 1j * ys, 1j * ws  # d(lambda) = i dy
+def bromwich_integral(
+    integrand, omega: float, times: np.ndarray, quad: QuadratureConfig
+) -> tuple[np.ndarray, dict]:
+    """(1/2 pi i) * integral over Re(lambda) = omega of e^{lambda t} f(lambda), and its record.
 
-
-def bromwich_integral(integrand, omega: float, times: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
-    """(1/2 pi i) * integral over Re(lambda) = omega of e^{lambda t} f(lambda).
-
-    ``integrand(lams)`` must return an array of shape (len(lams), dim).
-    Truncation length and node density are doubled adaptively until two
-    successive evaluations agree within quad.tolerance in the max norm.
+    ``integrand(lams)`` must return an array of shape (len(lams), dim).  The
+    line is cut into panels [j L, (j+1) L], L = 2 omega, -K <= j < K.  Phase 1
+    doubles K, evaluating only the new outer panels, until their sum is below
+    quad.tolerance / 2; phase 2 doubles the nodes per panel until two
+    successive sums agree within quad.tolerance (max norm).
     """
     times = np.asarray(times, dtype=float)
-    panel_length = 2.0 * omega
+    L = 2.0 * omega
+    # e^{lambda t_k} = e^{lambda t_{k-1}} e^{lambda (t_k - t_{k-1})}: one exp per distinct step
+    steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    rec = {"nodes_evaluated": 0}
+    # one (nt, 8192) phase matrix for every chunk; take(mode="clip") fills it without a temporary
+    buf = np.empty((len(times), 8192), dtype=complex)
 
-    def evaluate(half_length: float, nodes: int) -> np.ndarray:
-        lams, ws = _gauss_panels(omega, half_length, panel_length, nodes)
-        # chunk over nodes to keep the (nt, m) phase matrix bounded in memory
-        chunks = [slice(start, start + 8192) for start in range(0, len(lams), 8192)]
-        total = sum((np.exp(np.outer(times, lams[c])) * ws[c]) @ integrand(lams[c]) for c in chunks)
-        return total / (2j * np.pi)
+    def evaluate(panels, nodes: int) -> np.ndarray:
+        """Gauss-Legendre sum over the panels [j L, (j+1) L], j in ``panels``."""
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        panels, total = np.asarray(panels, dtype=float), 0.0
+        for start in range(0, len(panels) * nodes, 8192):
+            q = np.arange(start, min(start + 8192, len(panels) * nodes))
+            panel, node = panels[q // nodes], q % nodes
+            lams = omega + 1j * ((panel + 0.5 + 0.5 * x[node]) * L)
+            rec["nodes_evaluated"] += len(lams)
+            P = buf[:, : len(lams)]
+            np.take(np.exp(np.outer(steps, lams)), step_of, axis=0, out=P, mode="clip")
+            for k in range(1, len(times)):
+                P[k] *= P[k - 1]
+            total = total + P @ ((0.5 * L * w[node])[:, None] * integrand(lams))
+        return total / (2.0 * np.pi)  # d(lambda) = i dy
 
-    T = quad.initial_half_length
-    nodes = quad.nodes_per_panel
-    prev = evaluate(T, nodes)
-    # phase 1: extend the truncation until the tail is negligible
-    converged = False
-    for _ in range(quad.max_refinements):
-        cur = evaluate(2.0 * T, nodes)
-        if np.max(np.abs(cur - prev)) <= 0.5 * quad.tolerance:
-            prev = cur
-            converged = True
+    K, nodes = max(1, int(np.ceil(quad.initial_half_length / L))), quad.nodes_per_panel
+    prev = evaluate(range(-K, K), nodes)
+    # phase 1: extend the truncation by outer panels until their sum is negligible
+    for i in range(1, quad.max_refinements + 1):
+        outer = evaluate([*range(-2 * K, -K), *range(K, 2 * K)], nodes)
+        prev, K = prev + outer, 2 * K
+        if np.max(np.abs(outer)) <= 0.5 * quad.tolerance:
             break
-        T *= 2.0
-        prev = cur
-    if not converged:
-        raise QuadratureNotConverged("contour truncation did not converge")
-    T *= 2.0
+    else:
+        raise QuadratureNotConverged(f"contour truncation did not converge up to half-length {K * L:g}")
+    rec.update(half_length=K * L, truncation_refinements=i)
     # phase 2: refine node density at fixed truncation
-    for _ in range(quad.max_refinements):
+    for j in range(1, quad.max_refinements + 1):
         nodes *= 2
-        cur = evaluate(T, nodes)
-        if np.max(np.abs(cur - prev)) <= quad.tolerance:
-            return cur
+        cur = evaluate(range(-K, K), nodes)
+        diff = float(np.max(np.abs(cur - prev)))
+        if diff <= quad.tolerance:
+            rec.update(nodes_per_panel=nodes, density_refinements=j, last_difference=diff)
+            return cur, rec
         prev = cur
-    raise QuadratureNotConverged("contour node refinement did not converge")
+    raise QuadratureNotConverged(f"contour nodes: {nodes} per panel still differ by {diff:.3e}")
 
 
 def admissible_initial_state(
-    pencil: MatrixPencil, mu: complex, p: int, x0: np.ndarray
+    pencil: MatrixPencil, mu: complex, p: int, x0: np.ndarray,
+    decomp: WeierstrassDecomposition | None = None,
 ) -> tuple[bool, np.ndarray, float]:
-    """Test x0 in ran R(mu)^p and return the preimage z0.
+    """Test x0 in ran R(mu)^p and return a preimage z0 in ran P.
 
     Solves R(mu)^p z = (-1)^{p-1} x0 in least squares; membership requires
-    the back-substituted residual to stay below 1e-8 * ||x0||.
+    the back-substituted residual to stay below 1e-8 * ||x0||.  z0 = P z, with
+    P from ``decomp`` (decomposed here if not given): a component of z in the
+    infinite deflating subspace would slow the integrand's decay to |lambda|^-p.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(pencil.n)
     R = right_pseudo_resolvent(pencil, mu)
@@ -173,7 +181,7 @@ def admissible_initial_state(
     member = residual <= 1e-8 * max(np.linalg.norm(x0), 1e-300)
     if np.linalg.norm(x0) == 0.0:
         member, z0, residual = True, np.zeros_like(x0), 0.0
-    return member, z0, residual
+    return member, (decomp if decomp is not None else decompose(pencil)).P @ z0, residual
 
 
 def contour_solve(
@@ -192,8 +200,8 @@ def contour_solve(
     def integrand(lams: np.ndarray) -> np.ndarray:
         return -resolvent_apply(pencil, lams, pencil.E @ z0) / ((lams - mu) ** p)[:, None]
 
-    states = bromwich_integral(integrand, omega, times, config.quad)
-    return Trajectory(times=times, states=states)
+    states, record = bromwich_integral(integrand, omega, times, config.quad)
+    return Trajectory(times=times, states=states, quadrature=record)
 
 
 def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:

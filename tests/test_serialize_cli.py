@@ -11,6 +11,7 @@ import scipy.linalg
 
 import daepencil
 import daepencil.cli
+import daepencil.solver
 from daepencil import MatrixPencil, NanorodParams, PhPencil, Trajectory, build_nanorod
 from daepencil.cli import main
 from daepencil.errors import OverflowRisk
@@ -362,3 +363,40 @@ class TestOneQzPerCall:
         arg = ",".join(f"{v:.17g}" for v in (x0 / np.max(np.abs(x0))).real)
         assert main(["simulate", ph_pencil_file, "--x0", arg, "--output-dir", str(tmp_path)]) == 0
         assert len(qz_calls) == 1
+
+
+class TestQuadratureRecord:
+    def test_simulate_nanorod(self, tmp_path, monkeypatch, ph_pencil_file):
+        nodes = []
+        original = daepencil.solver.resolvent_apply
+
+        def counted(pencil, lams, b):
+            nodes.append(len(lams))
+            return original(pencil, lams, b)
+
+        monkeypatch.setattr(daepencil.solver, "resolvent_apply", counted)
+        ph = load_pencil(ph_pencil_file)
+        A = ph.A @ ph.Q
+        # x0 = ((3E - A)^{-1} E)^4 z for a seeded complex z, scaled to max-abs 1
+        rng = np.random.default_rng([1, 1])
+        x0 = rng.standard_normal(ph.n) + 1j * rng.standard_normal(ph.n)
+        M = np.linalg.solve(3.0 * ph.E - A, ph.E)
+        for _ in range(4):
+            x0 = M @ x0
+            x0 = x0 / np.linalg.norm(x0)
+        x0_file = str(tmp_path / "x0.json")
+        with open(x0_file, "w") as fh:
+            json.dump([[v.real, v.imag] for v in x0 / np.max(np.abs(x0))], fh)
+        args = ["--x0-file", x0_file, "--quad-tol", "1e-8", "--t-final", "1.0", "--num-steps", "100"]
+        assert main(["simulate", ph_pencil_file, "--output-dir", str(tmp_path), *args]) == 0
+        record = json.load(open(tmp_path / "simulate.json"))["quadrature"]
+        assert sum(nodes) == record["nodes_evaluated"] == 393216
+        assert record["last_difference"] <= 1e-8
+        del record["last_difference"]
+        assert record == {
+            "half_length": 8192.0,
+            "nodes_per_panel": 32,
+            "nodes_evaluated": 393216,
+            "truncation_refinements": 8,
+            "density_refinements": 1,
+        }

@@ -10,6 +10,7 @@ from daepencil import (
     SolveConfig,
     Trajectory,
     admissible_initial_state,
+    bromwich_integral,
     build_l2_example,
     build_zero_dynamics,
     contour_solve,
@@ -43,6 +44,60 @@ class TestConfigs:
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)))
+
+
+def _pole(a: complex, order: int):
+    """The Laplace transform 1/(lambda - a)^order of t^(order-1) e^(a t) / (order-1)!."""
+    return lambda lams: (1.0 / (lams - a) ** order)[:, None]
+
+
+class TestBromwichIntegral:
+    A = -1.0 + 0.5j
+
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 3.3])
+    @pytest.mark.parametrize("times", [[0.5, 0.6, 1.0], [1.0]], ids=["nonuniform", "single"])
+    def test_closed_form(self, omega, times):
+        times = np.array(times)
+        quad = QuadratureConfig()
+        values, record = bromwich_integral(_pole(self.A, 2), omega, times, quad)
+        assert np.max(np.abs(values[:, 0] - times * np.exp(self.A * times))) <= quad.tolerance
+        assert record["last_difference"] <= quad.tolerance
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(0, 1, 101), np.linspace(0, 5, 101), np.array([0, 0.1, 0.15, 0.4, 0.41, 1])],
+        ids=["uniform", "long", "nonuniform"],
+    )
+    def test_phase_recurrence_matches_exp(self, times):
+        # the same sum over the final nodes, with every phase from np.exp
+        omega, f = 1.0, _pole(self.A, 3)
+        values, record = bromwich_integral(f, omega, times, QuadratureConfig())
+        K = round(record["half_length"] / (2.0 * omega))
+        x, w = np.polynomial.legendre.leggauss(record["nodes_per_panel"])
+        mids = (np.arange(-K, K) + 0.5) * 2.0 * omega  # panels of length 2 omega
+        lams = (omega + 1j * (mids[:, None] + omega * x)).ravel()
+        ws = np.tile(omega * w, 2 * K)
+        chunks = [slice(start, start + 8192) for start in range(0, len(lams), 8192)]
+        ref = sum((np.exp(np.outer(times, lams[c])) * ws[c]) @ f(lams[c]) for c in chunks) / (2 * np.pi)
+        assert np.max(np.abs(values - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_truncation_evaluates_each_node_once(self):
+        seen = []
+
+        def f(lams):
+            seen.append(lams)
+            return _pole(self.A, 3)(lams)
+
+        quad = QuadratureConfig()
+        _, record = bromwich_integral(f, 1.0, np.linspace(0.0, 1.0, 11), quad)
+        nodes = np.concatenate(seen)
+        assert record["nodes_evaluated"] == len(nodes)
+        # phase 1 covers [-T, T] once at the initial density, phase 2 once per doubling
+        per_pass = 2 * record["half_length"] / (2.0 * 1.0) * quad.nodes_per_panel
+        doublings = record["density_refinements"]
+        assert len(nodes) == per_pass * (1 + sum(2**j for j in range(1, doublings + 1)))
+        first = nodes[: int(per_pass)]
+        assert len(np.unique(first)) == len(first)
 
 
 class TestAdmissibility:
