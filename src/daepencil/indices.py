@@ -3,8 +3,8 @@
 The real (complex) resolvent index is the smallest integer p such that
 ``||(lambda E - A)^{-1}|| <= C |lambda|^{p-1}`` on a real ray (right
 half-plane).  We estimate it by fitting the log-log growth of sampled
-resolvent norms; the radiality bound is probed by Monte-Carlo sampling of
-pseudo-resolvent products.
+resolvent norms; the radiality bound is probed by sampling pseudo-resolvent
+products at real shifts, one LU per shift of the QZ form in the pencil's dtype.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lu_factor, lu_solve, qz
 
 from .core import MatrixPencil, ResolventSample, resolvent_apply, resolvent_norm, spectral_norm
 from .errors import ShiftOutsideResolventSet
@@ -182,22 +182,27 @@ def _max_radiality_ratio(
     num_samples: int,
     rng: np.random.Generator,
 ) -> float:
-    # (lam E - A)^{-1} E = Z (lam S - T)^{-1} S Z*, E (lam E - A)^{-1} = Q S (lam S - T)^{-1} Q*,
-    # and (lam S - T)^{-1} S = (I + (lam S - T)^{-1} T) / lam: the exact I keeps large lam accurate
-    S, T = pencil.qz[:2]
-    eye, solve = np.eye(pencil.n), scipy.linalg.solve_triangular
-    worst = 0.0
+    # In the QZ form E = Q S Z*, A = Q T Z* of the pencil's dtype (real, T quasi-triangular, unless E
+    # or A is complex), one LU of x S - T per shift x gives (I + (x S - T)^{-1} T) / x = (x S - T)^{-1} S
+    # and S (x S - T)^{-1}: the exact I keeps large x accurate, and unlike x E - A, index-3 products too.
+    if pencil.E.imag.any() or pencil.A.imag.any():
+        S, T = pencil.qz[:2]
+    else:
+        T, S = qz(pencil.A.real, pencil.E.real, output="real")[:2]
+    eye, worst = np.eye(pencil.n), 0.0
     for _ in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
         n = int(rng.integers(1, n_max + 1))
-        right = reduce(np.matmul, [(eye + solve(x * S - T, T)) / x for x in lams])
-        left = reduce(np.matmul, [(eye + solve(x * S - T, T.T, trans="T").T) / x for x in lams])
+        lus = [lu_factor(x * S - T, check_finite=False) for x in lams]
+        if not all(np.diagonal(lu).all() for lu, _ in lus):
+            raise ShiftOutsideResolventSet(f"a radiality shift in {lams.tolist()} has a zero LU pivot")
+        right = reduce(np.matmul, [(eye + lu_solve(lu, T)) / x for lu, x in zip(lus, lams)])
+        left = reduce(np.matmul, [(eye + lu_solve(lu, T.T, trans=1).T) / x for lu, x in zip(lus, lams)])
+        powers = [np.linalg.matrix_power(M, n) for M in (right, left)]
+        if not all(np.isfinite(M).all() for M in powers):
+            raise ShiftOutsideResolventSet(f"radiality product at shifts {lams.tolist()} is not finite")
         weight = float(np.prod(np.abs(lams - omega)) ** n)
-        norm = max(
-            spectral_norm(np.linalg.matrix_power(right, n)),
-            spectral_norm(np.linalg.matrix_power(left, n)),
-        )
-        worst = max(worst, norm * weight)
+        worst = max(worst, max(map(spectral_norm, powers)) * weight)
     return worst
 
 

@@ -45,6 +45,21 @@ def random_nilpotent(rng: np.random.Generator, d: int) -> np.ndarray:
     return np.triu(random_complex(rng, d, d), k=1)
 
 
+def random_weierstrass_blocks(
+    rng: np.random.Generator,
+    d1: int,
+    d2: int,
+    stable: bool = False,
+    cond_max: float = 10.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(A1, N, G, H) of the regular pencil G (blkdiag(I, N), blkdiag(A1, I)) H."""
+    A1 = random_stable(rng, d1) if stable else random_complex(rng, d1, d1)
+    N = random_nilpotent(rng, d2)
+    G = random_well_conditioned(rng, d1 + d2, cond_max)
+    H = random_well_conditioned(rng, d1 + d2, cond_max)
+    return A1, N, G, H
+
+
 def random_regular_pencil(
     rng: np.random.Generator,
     d1: int,
@@ -53,10 +68,7 @@ def random_regular_pencil(
     cond_max: float = 10.0,
 ) -> MatrixPencil:
     """Random regular pencil equivalent to (blkdiag(I, N), blkdiag(A1, I))."""
-    A1 = random_stable(rng, d1) if stable else random_complex(rng, d1, d1)
-    N = random_nilpotent(rng, d2)
+    A1, N, G, H = random_weierstrass_blocks(rng, d1, d2, stable, cond_max)
     E0 = scipy.linalg.block_diag(np.eye(d1), N)
     A0 = scipy.linalg.block_diag(A1, np.eye(d2))
-    G = random_well_conditioned(rng, d1 + d2, cond_max)
-    H = random_well_conditioned(rng, d1 + d2, cond_max)
     return MatrixPencil(G @ E0 @ H, G @ A0 @ H)

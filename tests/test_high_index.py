@@ -95,6 +95,19 @@ def test_indices_at_default_omega(seed, d1, d2):
 
 
 @given(seed=st.integers(0, 2**16), d1=st.integers(1, 5), d2=st.sampled_from([2, 3]))
+def test_analyze_at_default_omega(seed, d1, d2):
+    pencil = random_regular_pencil(np.random.default_rng(seed), d1, d2, stable=True)
+    with tempfile.TemporaryDirectory() as out:
+        save_pencil(os.path.join(out, "pencil.json"), pencil)
+        args = ["--output-dir", out, "--num-samples", "20"]
+        assert main(["analyze", os.path.join(out, "pencil.json"), *args]) == 0
+        with open(os.path.join(out, "analyze.json")) as fh:
+            report = json.load(fh)
+    assert report["indices"]["config"]["omega"] == 1.0
+    assert report["decomposition"]["nilpotency_index"] == d2
+
+
+@given(seed=st.integers(0, 2**16), d1=st.integers(1, 5), d2=st.sampled_from([2, 3]))
 def test_simulate_admissible_state(seed, d1, d2):
     pencil = random_regular_pencil(np.random.default_rng(seed), d1, d2, stable=True)
     x0 = _admissible_x0(decompose(pencil), seed)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_well_conditioned
+from conftest import random_regular_pencil, random_weierstrass_blocks, random_well_conditioned
 
 from daepencil import (
     MatrixPencil,
@@ -18,6 +18,7 @@ from daepencil import (
     integrated_semigroup_sample,
     verify_radiality,
 )
+from daepencil import indices
 from daepencil.errors import ShiftOutsideResolventSet
 from daepencil.indices import _max_radiality_ratio
 
@@ -88,6 +89,20 @@ class TestRadiality:
         b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
         assert a.max_ratio == b.max_ratio
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("E", [np.zeros((2, 2)), np.diag([1.0, 0.0])], ids=["zero", "diag-1-0"])
+    def test_irregular_pencil_typed_error(self, E):
+        # every shift is singular: a zero LU pivot, never an untyped LinAlgError or a NaN
+        with pytest.raises(ShiftOutsideResolventSet, match="zero LU pivot"):
+            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_product_typed_error(self):
+        # x*E overflows for this E: the products are not finite and must not reach the norms
+        pencil = MatrixPencil([[0.0, 1e308], [0.0, 0.0]], np.eye(2))
+        with pytest.raises(ShiftOutsideResolventSet, match="not finite"):
+            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0)
+
 
 def _dense_radiality_ratio(pencil, p, omega, box_radius, n_max, num_samples, rng):
     """Reference: dense solves and inverses of lambda*E - A at every shift."""
@@ -111,6 +126,26 @@ def _dense_radiality_ratio(pencil, p, omega, box_radius, n_max, num_samples, rng
     return worst
 
 
+def _block_radiality_ratio(blocks, p, omega, box_radius, n_max, num_samples, rng):
+    """Reference from the blocks of G (blkdiag(I, N), blkdiag(A1, I)) H: both pseudo-resolvents
+    are similar (by H and by G^{-1}) to blkdiag((lambda - A1)^{-1}, -(sum_k (lambda N)^k) N)."""
+    A1, N, G, H = blocks
+    d1, d2 = len(A1), len(N)
+    worst = 0.0
+    for _ in range(num_samples):
+        lams = omega + box_radius * rng.uniform(size=p + 1)
+        n = int(rng.integers(1, n_max + 1))
+        F = np.eye(d1 + d2, dtype=complex)
+        for lam in lams:
+            nilpotent = -sum(np.linalg.matrix_power(lam * N, k) for k in range(d2)) @ N
+            F = F @ scipy.linalg.block_diag(np.linalg.inv(lam * np.eye(d1) - A1), nilpotent)
+        F = np.linalg.matrix_power(F, n)
+        weight = float(np.prod(np.abs(lams - omega)) ** n)
+        norm = max(np.linalg.norm(np.linalg.solve(H, F @ H), 2), np.linalg.norm(G @ F @ np.linalg.inv(G), 2))
+        worst = max(worst, norm * weight)
+    return worst
+
+
 class TestRadialityRatio:
     @pytest.mark.parametrize(
         "pencil, p",
@@ -127,6 +162,38 @@ class TestRadialityRatio:
         fast = _max_radiality_ratio(*args, np.random.default_rng(7))
         ref = _dense_radiality_ratio(*args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("d2", [2, 3])
+    @pytest.mark.parametrize("box_radius, rel", [(10.0, 1e-10), (1e3, 1e-8)])
+    def test_complex_pencil_matches_block_reference(self, d2, box_radius, rel):
+        # at box 1e3 the index-3 block's factors grow like lambda^2 while their products vanish:
+        # dense solves of lambda*E - A (the dense reference) then err by orders of magnitude, the
+        # QZ form by 7e-10 here, and the block reference agrees with a 50-digit evaluation to 6e-15
+        blocks = random_weierstrass_blocks(np.random.default_rng(1), 4, d2)
+        pencil = random_regular_pencil(np.random.default_rng(1), 4, d2)
+        args = (d2 - 1, 0.5, box_radius, 3, 40)
+        fast = _max_radiality_ratio(pencil, *args, np.random.default_rng(7))
+        ref = _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
+        assert fast == pytest.approx(ref, rel=rel)
+
+    @pytest.mark.parametrize(
+        "pencil, dtype",
+        [
+            (build_nanorod(NanorodParams(n_grid=4)).pencil, np.float64),
+            (random_regular_pencil(np.random.default_rng(0), 4, 2), np.complex128),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_factorises_in_pencil_dtype(self, monkeypatch, pencil, dtype):
+        seen = []
+
+        def recording_lu_factor(M, **kwargs):
+            seen.append(M.dtype)
+            return scipy.linalg.lu_factor(M, **kwargs)
+
+        monkeypatch.setattr(indices, "lu_factor", recording_lu_factor)
+        _max_radiality_ratio(pencil, 1, 0.5, 10.0, 3, 5, np.random.default_rng(7))
+        assert seen and set(seen) == {np.dtype(dtype)}
 
 
 class TestIndexRelations:
