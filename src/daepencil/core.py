@@ -24,6 +24,7 @@ __all__ = [
     "probe_regularity",
     "resolvent",
     "resolvent_norm",
+    "resolvent_norms",
     "resolvent_apply",
     "right_pseudo_resolvent",
     "left_pseudo_resolvent",
@@ -46,6 +47,10 @@ def spectral_norm(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+#: Golub-Kahan-Lanczos steps after which ``resolvent_norms`` falls back to the SVD
+LANCZOS_STEPS = 30
 
 
 def kappa_max(n: int) -> float:
@@ -141,16 +146,68 @@ def resolvent_norm(pencil: MatrixPencil, lam: complex) -> ResolventSample:
     return ResolventSample(lam=lam, norm=nrm, in_resolvent_set=bool(ok))
 
 
+def _back_substitute(S: np.ndarray, T: np.ndarray, lams: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(lambda*S - T)^{-1} c, S and T upper triangular, a column per shift; c is (n,) or (n, m)."""
+    y = np.empty((len(c), len(lams)), dtype=complex)
+    for i in range(len(c) - 1, -1, -1):
+        rest = y[i + 1 :]
+        y[i] = (c[i] - lams * (S[i, i + 1 :] @ rest) + T[i, i + 1 :] @ rest) / (lams * S[i, i] - T[i, i])
+    return y
+
+
 def resolvent_apply(pencil: MatrixPencil, lams: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(lambda*E - A)^{-1} b for each shift in ``lams`` as rows, by back-substitution on
     the QZ form lambda*S - T vectorised over the shifts: O(m n^2) flops, O(m n) memory."""
     S, T, Q, Z = pencil.qz
-    c = Q.conj().T @ b
-    y = np.empty((pencil.n, len(lams)), dtype=complex)
-    for i in range(pencil.n - 1, -1, -1):
-        rest = y[i + 1 :]
-        y[i] = (c[i] - lams * (S[i, i + 1 :] @ rest) + T[i, i + 1 :] @ rest) / (lams * S[i, i] - T[i, i])
-    return (Z @ y).T
+    return (Z @ _back_substitute(S, T, lams, Q.conj().T @ b)).T
+
+
+def _orthonormalise(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of x (n, m) made orthogonal to basis[:, :, column], twice, then normalised."""
+    for _ in range(2):
+        x = x - np.einsum("jim,jm->im", basis, np.einsum("jim,im->jm", basis, x.conj()).conj())
+    return x / np.linalg.norm(x, axis=0), np.linalg.norm(x, axis=0)
+
+
+def resolvent_norms(pencil: MatrixPencil, lams) -> tuple[list[ResolventSample], int, int]:
+    """(``resolvent_norm`` at each shift in ``lams``, most Lanczos steps, SVD fallbacks), from
+    Golub-Kahan-Lanczos on (lambda*S - T)^{-1} of the QZ form, 64 shifts in lockstep, with full
+    reorthogonalisation.  A shift is done when its Ritz value moves <= 1e-14 relative in a step or
+    its basis spans C^n; ||M||_F / sqrt(n) <= sigma_max(M) <= ||M||_F for M = lambda*S - T decides
+    kappa <= kappa_max(n).  A shift not done in min(n, LANCZOS_STEPS) steps, e.g. at a zero pivot,
+    or whose bracket straddles the threshold gets ``resolvent_norm``'s SVD."""
+    S, T = pencil.qz[:2]
+    Sa, Ta = (np.ascontiguousarray(M.conj().T[::-1, ::-1]) for M in (S, T))  # adjoint, upper triangular
+    n, lams, rng = pencil.n, np.asarray(lams, dtype=complex).ravel(), np.random.default_rng(0)
+    k = min(n, LANCZOS_STEPS)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sigma, settled = np.zeros(len(lams)), np.zeros(len(lams), dtype=int)
+    for c in (slice(lo, lo + 64) for lo in range(0, len(lams), 64)):  # the basis stays O(k n 64)
+        z, sig, done = lams[c], sigma[c], settled[c]  # views: results land in sigma and settled
+        U, V = np.zeros((k, n, len(z)), dtype=complex), np.zeros((k + 1, n, len(z)), dtype=complex)
+        V[0], bidiag, beta = start[:, None] / np.linalg.norm(start), np.zeros((len(z), k, k)), 0.0
+        ok = np.ones(len(z), dtype=bool)
+        for j in range(k):
+            with np.errstate(all="ignore"):  # a zero pivot or an overflow leaves its shift not done
+                U[j], alpha = _orthonormalise(_back_substitute(S, T, z, V[j]) - beta * U[j - 1], U[:j])
+                bidiag[:, j - 1, j], bidiag[:, j, j] = beta, alpha  # U[-1] is still 0 at j = 0
+                w = _back_substitute(Sa, Ta, z.conj(), U[j][::-1])[::-1] - alpha * V[j]
+                V[j + 1], beta = _orthonormalise(w, V[: j + 1])
+            ok &= np.isfinite(alpha)
+            ritz = np.linalg.norm(np.where(ok[:, None, None], bidiag[:, : j + 1, : j + 1], 0), 2, (1, 2))
+            live = done == 0
+            done[live & ok & ((abs(ritz - sig) <= 1e-14 * ritz) | (j + 1 == n))] = j + 1
+            sig[live] = ritz[live]
+            if done.all():
+                break
+    fro2 = abs(lams) ** 2 * np.vdot(S, S).real - 2 * (lams * np.vdot(T, S)).real + np.vdot(T, T).real
+    kappa, kmax = np.sqrt(np.maximum(fro2, 0.0)) * sigma, kappa_max(n)  # ||M||_F ||M^{-1}||
+    decided = (settled > 0) & ((kappa <= kmax) | (kappa > np.sqrt(n) * kmax))
+    out = [
+        ResolventSample(lam, float(s), bool(kap <= kmax)) if known else resolvent_norm(pencil, lam)
+        for lam, s, kap, known in zip(lams.tolist(), sigma, kappa, decided)
+    ]
+    return out, int(np.where(settled > 0, settled, k).max(initial=0)), int(np.count_nonzero(~decided))
 
 
 def right_pseudo_resolvent(pencil: MatrixPencil, lam: complex) -> np.ndarray:

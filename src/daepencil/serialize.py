@@ -94,26 +94,48 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return matrix_to_json(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
+def _array_json(M: np.ndarray, indent: str) -> str:
+    """json.dumps(matrix_to_json(M), indent=2) on a line indented by ``indent``, without the lists."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    if M.ndim > 2 or not M.size:
+        return json.dumps(matrix_to_json(M), indent=2).replace("\n", "\n" + indent)
+    i1, i2, i3 = (indent + "  " * d for d in (1, 2, 3))
+    text = list(map(float.__repr__, np.ravel(M).view(float).tolist()))
+    if not np.isfinite(M).all():
+        text = [{"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(t, t) for t in text]
+    pairs, cols = list(map(f",\n{i3}".join, zip(text[::2], text[1::2]))), M.shape[1]  # "re,\n im"
+    rows = [f"\n{i2}],\n{i2}[\n{i3}".join(pairs[r * cols : (r + 1) * cols]) for r in range(M.shape[0])]
+    between_rows = f"\n{i2}]\n{i1}],\n{i1}[\n{i2}[\n{i3}"
+    return f"[\n{i1}[\n{i2}[\n{i3}" + between_rows.join(rows) + f"\n{i2}]\n{i1}]\n{indent}]"
 
 
 def save_json(path: str, data: dict) -> None:
-    atomic_write_text(path, json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n")
+    """json.dumps(data, indent=2, sort_keys=True) with numpy scalars as numbers, complex numbers as
+    [re, im] and each ndarray as matrix_to_json(array).  The arrays stand in the skeleton as a token
+    string, lengthened until no string of ``data`` equals it, and are rendered by ``_array_json``."""
+    arrays, token = [], "\x00"
+
+    def default(obj):
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            return token
+        if isinstance(obj, complex):
+            return [obj.real, obj.imag]
+        for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+            if isinstance(obj, kind):
+                return cast(obj)
+        return json.JSONEncoder().default(obj)  # raises TypeError
+
+    skeleton = json.dumps(data, indent=2, sort_keys=True, default=default)
+    while skeleton.count(json.dumps(token)) != len(arrays):  # a string of ``data`` equals the token
+        arrays, token = [], token + "\x00"
+        skeleton = json.dumps(data, indent=2, sort_keys=True, default=default)
+    parts = skeleton.split(json.dumps(token))
+    pieces = parts[:1]
+    for array, before, after in zip(arrays, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]  # the array's line up to it, indent first
+        pieces += [_array_json(array, " " * (len(line) - len(line.lstrip(" ")))), after]
+    atomic_write_text(path, "".join(pieces) + "\n")
 
 
 def save_pencil(path: str, obj: MatrixPencil | PhPencil, provenance: dict | None = None) -> None:
@@ -126,26 +148,12 @@ def load_pencil(path: str) -> MatrixPencil | PhPencil:
 
 
 def decomposition_to_dict(decomp: WeierstrassDecomposition) -> dict:
-    return {
-        "n": decomp.n,
-        "d1": decomp.d1,
-        "d2": decomp.d2,
-        "nilpotency_index": decomp.nilpotency_index,
-        "A1": matrix_to_json(decomp.A1),
-        "N": matrix_to_json(decomp.N),
-        "T_L": matrix_to_json(decomp.T_L),
-        "T_R": matrix_to_json(decomp.T_R),
-        "P": matrix_to_json(decomp.P),
-        "R": matrix_to_json(decomp.R),
-        "reconstruction_residual": decomp.reconstruction_residual,
-    }
+    keys = "n d1 d2 nilpotency_index A1 N T_L T_R P R reconstruction_residual"
+    return {key: getattr(decomp, key) for key in keys.split()}
 
 
 def ph_report_to_dict(report: PhReport) -> dict:
-    out = report.as_dict()
-    out["T"] = None if report.T is None else matrix_to_json(report.T)
-    out["S"] = None if report.S is None else matrix_to_json(report.S)
-    return out
+    return {**report.as_dict(), "T": report.T, "S": report.S}
 
 
 def _fmt(v: float) -> str:

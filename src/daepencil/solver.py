@@ -139,13 +139,25 @@ def bromwich_integral(
         return total / (2.0 * np.pi)  # d(lambda) = i dy
 
     K, nodes = max(1, int(np.ceil(quad.initial_half_length / L))), quad.nodes_per_panel
-    prev = evaluate(range(-K, K), nodes)
+    prev, sizes = evaluate(range(-K, K), nodes), []
     # phase 1: extend the truncation by outer panels until their sum is negligible
     for i in range(1, quad.max_refinements + 1):
         outer = evaluate([*range(-2 * K, -K), *range(K, 2 * K)], nodes)
         prev, K = prev + outer, 2 * K
-        if np.max(np.abs(outer)) <= 0.5 * quad.tolerance:
+        sizes.append(float(np.max(np.abs(outer))))
+        if sizes[-1] <= 0.5 * quad.tolerance:
             break
+        # a tail ~ |lambda|^-q shrinks the sum by 2^(1-q) < 1 per doubling: stop when even the
+        # fastest shrink factor so far, of three or more, cannot reach the tolerance in the budget
+        rate = min((a / b for a, b in zip(sizes[1:], sizes[:-1])), default=0.0)
+        left = quad.max_refinements - i
+        if len(sizes) >= 4 and left and rate < 1.0 and sizes[-1] * rate**left > 0.5 * quad.tolerance:
+            raise QuadratureNotConverged(
+                f"contour truncation cannot converge in {quad.max_refinements} doublings: at half-length "
+                f"{K * L:g} the outer panels sum to {sizes[-1]:.3e}, and each doubling kept at least "
+                f"{rate:.3g} of that sum, as for an integrand decaying like "
+                f"|lambda|^-{1.0 - np.log2(rate):.3g}"
+            )
     else:
         raise QuadratureNotConverged(f"contour truncation did not converge up to half-length {K * L:g}")
     rec.update(half_length=K * L, truncation_refinements=i)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from conftest import random_complex, random_regular_pencil
 
+import daepencil.core
+
 from daepencil import (
     L2ExampleParams,
     MatrixPencil,
@@ -18,7 +20,7 @@ from daepencil import (
     right_pseudo_resolvent,
     spectral_norm,
 )
-from daepencil.core import _invertible_shifts, resolvent_apply
+from daepencil.core import _invertible_shifts, kappa_max, resolvent_apply, resolvent_norms
 from daepencil.errors import SingularShift
 
 
@@ -233,3 +235,77 @@ class TestResolventApply:
         p = MatrixPencil(np.eye(1), [[-1.0]])
         lams = np.array([1.0, 2.0 + 3.0j])
         assert np.allclose(resolvent_apply(p, lams, np.array([2.0])), (2.0 / (lams + 1.0))[:, None])
+
+
+def _mp_sigma_min(pencil, lam):
+    """sigma_min(lam E - A) for the stored doubles: the inverse by Gauss-Jordan in 50-digit
+    arithmetic (zero entries skipped), rounded to double; the largest singular value of that
+    rounding is within a few eps of the exact one, whatever the condition of lam E - A."""
+    mpmath = pytest.importorskip("mpmath")
+    n = pencil.n
+    with mpmath.workdps(50):
+        rows = [
+            [mpmath.mpc(lam) * mpmath.mpc(e) - mpmath.mpc(a) for e, a in zip(er, ar)]
+            + [mpmath.mpc(i == j) for j in range(n)]
+            for i, (er, ar) in enumerate(zip(pencil.E.tolist(), pencil.A.tolist()))
+        ]
+        for j in range(n):
+            p = max(range(j, n), key=lambda i: abs(rows[i][j]))
+            rows[j], rows[p] = rows[p], rows[j]
+            rows[j] = [x / rows[j][j] if x else x for x in rows[j]]
+            for i in range(n):
+                f = rows[i][j]
+                if i != j and f:
+                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[j])]
+        inverse = np.array([[complex(x) for x in row[n:]] for row in rows])
+    return 1.0 / spectral_norm(inverse)
+
+
+class TestResolventNorms:
+    @pytest.mark.parametrize(
+        "pencil",
+        [
+            build_nanorod(NanorodParams(n_grid=4)).pencil,
+            build_l2_example(L2ExampleParams(K=40)),
+            random_regular_pencil(np.random.default_rng(0), 5, 2, stable=True),
+            random_regular_pencil(np.random.default_rng(1), 5, 3, stable=True),
+        ],
+        ids=["nanorod", "l2", "index-2", "index-3"],
+    )
+    def test_matches_50_digit_reference(self, pencil):
+        # per shift, the error is at most 10x the dense SVD's or 10 eps kappa
+        lams = np.array([2.0, 1.0 + 30.0j, 1e3, 1.0 + 1e3j, 700.0 + 700.0j])
+        samples, steps, fallbacks = resolvent_norms(pencil, lams)
+        assert fallbacks == 0 and 1 <= steps <= min(pencil.n, 30)
+        for lam, sample in zip(lams, samples):
+            exact = _mp_sigma_min(pencil, lam)
+            sig = np.linalg.svd(lam * pencil.E - pencil.A, compute_uv=False)
+            error = abs(1.0 / sample.norm - exact) / exact
+            assert sample.in_resolvent_set and sample.lam == lam
+            assert error <= max(10.0 * abs(sig[-1] - exact) / exact, 10.0 * np.finfo(float).eps * sig[0] / exact)
+
+    def test_step_cap_falls_back_to_svd(self, monkeypatch):
+        monkeypatch.setattr(daepencil.core, "LANCZOS_STEPS", 1)
+        pencil = random_regular_pencil(np.random.default_rng(2), 5, 2, stable=True)
+        lams = np.array([2.0, 1.0 + 30.0j, 1e3])
+        samples, steps, fallbacks = resolvent_norms(pencil, lams)
+        assert (steps, fallbacks) == (1, 3)
+        assert samples == [resolvent_norm(pencil, lam) for lam in lams]
+
+    def test_singular_shift_not_in_resolvent_set(self):
+        pencil = MatrixPencil(np.eye(2), np.diag([1.0, 2.0]))
+        samples, _, fallbacks = resolvent_norms(pencil, np.array([1.0, 3.0]))
+        assert fallbacks == 1
+        assert not samples[0].in_resolvent_set and samples[0].norm == np.inf
+        assert samples[1].in_resolvent_set and samples[1].norm == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_threshold_decided_by_svd(self, factor):
+        # lam E - A = diag(1, 1, delta): kappa = 1/delta, and ||.||_F = sqrt(2) brackets
+        # sigma_max in [sqrt(2/3), sqrt(2)], across kappa_max(3) either way
+        delta = 1.0 / (factor * kappa_max(3))
+        pencil = MatrixPencil(np.eye(3), -np.diag([1.0, 1.0, delta]))
+        samples, _, fallbacks = resolvent_norms(pencil, np.array([0.0]))
+        assert fallbacks == 1
+        assert samples == [resolvent_norm(pencil, 0.0)]
+        assert samples[0].in_resolvent_set == (factor < 1.0)

@@ -8,8 +8,10 @@ not have exact infinite eigenvalues.
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from daepencil import (
     weierstrass_solve,
 )
 from daepencil.cli import main
+from daepencil.errors import QuadratureNotConverged
 from daepencil.phdae import _default_omega
 from daepencil.serialize import save_pencil
 
@@ -67,6 +70,21 @@ def test_contour_solve_converges_at_omega_one():
     a = contour_solve(pencil, z0, config, times).states
     b = weierstrass_solve(d, x0, times).states
     assert np.max(np.abs(a - b)) <= 10.0 * QUAD_TOL * np.max(np.abs(b))
+
+
+def test_contour_solve_gives_up_early_outside_finite_subspace():
+    # the minimum-norm preimage has a component in the infinite deflating subspace, so the
+    # integrand decays like |lambda|^-2: the outer panels only halve per doubling, and the
+    # truncation budget (12 doublings from half-length 32) cannot bring them below the tolerance
+    pencil = _index_two_pencil()
+    d = decompose(pencil)
+    R = np.linalg.solve(2.0 * pencil.E - pencil.A, pencil.E)
+    z0 = np.linalg.lstsq(-(R @ R), _admissible_x0(d, 1), rcond=None)[0]
+    assert np.linalg.norm(z0 - d.P @ z0) > 1.0
+    start = time.perf_counter()
+    with pytest.raises(QuadratureNotConverged, match=r"decaying like \|lambda\|\^-2$"):
+        contour_solve(pencil, z0, SolveConfig(mu=2.0, omega=1.0, p=2), np.linspace(0.0, 1.0, 21))
+    assert time.perf_counter() - start < 0.5
 
 
 @given(

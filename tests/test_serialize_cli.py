@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import daepencil
 import daepencil.cli
@@ -87,6 +89,77 @@ class TestTrajectoryCsv:
         save_trajectory_csv(path, traj)
         header = open(path).readline().strip()
         assert header == "t, re(x_1), im(x_1), re(x_2), im(x_2), H"
+
+
+def _jsonable(obj):
+    """The reference conversion: save_json must write json.dumps(_jsonable(data), indent=2, sort_keys=True)."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, np.nan, np.inf, -np.inf])
+_arrays = st.builds(
+    lambda shape, cplx, vals: np.resize(np.array(vals) if cplx else np.array(vals).real, shape),
+    st.sampled_from([(0, 0), (1, 0), (3,), (2, 3)]),
+    st.booleans(),
+    st.lists(st.complex_numbers() | _floats.map(complex), min_size=1, max_size=6),
+)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | _floats
+    | st.text()
+    | st.complex_numbers(allow_nan=True)
+    | _floats.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | _arrays
+)
+_reports = st.dictionaries(
+    st.text(),
+    st.recursive(
+        _leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
+class TestSaveJson:
+    @given(data=_reports)
+    @example(
+        data={
+            "n\u00e4me": "\u00fcn\u00efc\u00f6de \u2713",
+            "scalars": [np.float64(-0.0), np.int64(3), np.bool_(False), np.float32(2.5), None, True],
+            "complex": (1 + 2j, np.complex128(-0.0 + 1j), complex(np.nan, -np.inf)),
+            "arrays": [np.zeros((0, 0)), np.zeros((1, 0)), np.array([1.0, np.nan, -np.inf]), np.arange(6.0).reshape(2, 3)],
+            "complex arrays": {"a": np.array([1j, -0.0, np.inf * 1j]), "b": np.ones((2, 3)) * (1 - 1j)},
+            "placeholders": ["\x00", "\x00\x00", 'a"\x00', {"\x00": np.eye(1)}],
+        }
+    )
+    def test_bytes_match_json_dumps(self, tmp_path_factory, data):
+        path = str(tmp_path_factory.mktemp("json") / "out.json")
+        save_json(path, data)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        assert written == (json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestAtomicWrite:
@@ -315,18 +388,43 @@ class TestAnalyzeSharesWork:
                 "estimate_resolvent_index_real",
                 "estimate_resolvent_index_complex",
                 "resolvent_norm",
+                "resolvent_norms",
             ],
         )
+        shifts = []
+        evaluator = daepencil.indices.resolvent_norms
+
+        def counted(pencil, lams, *args, **kwargs):
+            shifts.append(len(lams))
+            return evaluator(pencil, lams, *args, **kwargs)
+
+        monkeypatch.setattr(daepencil.indices, "resolvent_norms", counted)
         code = main(["analyze", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "10"])
         assert code == 0
+        # one evaluator call per estimator grid, and no per-shift SVD
+        assert shifts == [64, 4 * 64]
         assert counts == {
             "decompose": 1,
             "reconstruct": 1,
             "probe_regularity": 1,
             "estimate_resolvent_index_real": 1,
             "estimate_resolvent_index_complex": 1,
-            "resolvent_norm": 64 + 4 * 64,
+            "resolvent_norm": 0,
+            "resolvent_norms": 2,
         }
+
+    @pytest.mark.parametrize(
+        "model", [["nanorod", "--n-grid", "4"], ["l2", "--K", "40"], ["zero-dyn", "--m", "4"]], ids=lambda m: m[0]
+    )
+    def test_estimates_record_the_evaluator(self, tmp_path, model):
+        out = str(tmp_path)
+        assert main(["example", *model, "--output-dir", out]) == 0
+        pencil_file = os.path.join(out, [f for f in os.listdir(out) if f.endswith(".json")][0])
+        assert main(["indices", pencil_file, "--output-dir", out, "--num-samples", "10"]) == 0
+        report = json.load(open(os.path.join(out, "indices.json")))
+        for key in ("real", "complex"):
+            assert report[key]["svd_fallbacks"] == 0
+            assert 1 <= report[key]["lanczos_steps"] <= 30
 
     def test_ph_section_uses_estimator_flags(self, tmp_path, ph_pencil_file):
         out = str(tmp_path)
