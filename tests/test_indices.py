@@ -1,9 +1,13 @@
 """Resolvent-growth index estimation, radiality sampling, integrated semigroups."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import random_regular_pencil, random_weierstrass_blocks, random_well_conditioned
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from daepencil import (
     MatrixPencil,
@@ -19,8 +23,9 @@ from daepencil import (
     verify_radiality,
 )
 from daepencil import indices
+from daepencil.cli import main
 from daepencil.errors import ShiftOutsideResolventSet
-from daepencil.indices import _max_radiality_ratio
+from daepencil.indices import _max_radiality_ratio, _radiality_form, _sigma_max
 
 N2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -88,6 +93,18 @@ class TestRadiality:
         a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
         b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
         assert a.max_ratio == b.max_ratio
+
+    def test_one_real_qz_for_both_boxes(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["output"])
+            return scipy.linalg.qz(*args, **kwargs)
+
+        monkeypatch.setattr(indices, "qz", counted)
+        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
+        verify_radiality(pencil, 1, omega=1.0, box_radius=10.0, num_samples=5)
+        assert calls == ["real"]
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize("E", [np.zeros((2, 2)), np.diag([1.0, 0.0])], ids=["zero", "diag-1-0"])
@@ -158,9 +175,9 @@ class TestRadialityRatio:
     )
     @pytest.mark.parametrize("box_radius", [10.0, 1e3])
     def test_matches_dense_reference(self, pencil, p, box_radius):
-        args = (pencil, p, 0.5, box_radius, 3, 40)
-        fast = _max_radiality_ratio(*args, np.random.default_rng(7))
-        ref = _dense_radiality_ratio(*args, np.random.default_rng(7))
+        args = (p, 0.5, box_radius, 3, 40)
+        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
+        ref = _dense_radiality_ratio(pencil, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("d2", [2, 3])
@@ -172,7 +189,7 @@ class TestRadialityRatio:
         blocks = random_weierstrass_blocks(np.random.default_rng(1), 4, d2)
         pencil = random_regular_pencil(np.random.default_rng(1), 4, d2)
         args = (d2 - 1, 0.5, box_radius, 3, 40)
-        fast = _max_radiality_ratio(pencil, *args, np.random.default_rng(7))
+        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
         ref = _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
 
@@ -192,8 +209,164 @@ class TestRadialityRatio:
             return scipy.linalg.lu_factor(M, **kwargs)
 
         monkeypatch.setattr(indices, "lu_factor", recording_lu_factor)
-        _max_radiality_ratio(pencil, 1, 0.5, 10.0, 3, 5, np.random.default_rng(7))
+        _max_radiality_ratio(*_radiality_form(pencil), 1, 0.5, 10.0, 3, 5, np.random.default_rng(7))
         assert seen and set(seen) == {np.dtype(dtype)}
+
+
+    def test_one_lu_and_one_inverse_per_shift(self, monkeypatch):
+        # the design: per shift one lu_factor and one getri on it, then only matrix products and
+        # symmetric eigensolves; no triangular solves with n right-hand sides and no SVD
+        counts = {"lu_factor": 0, "getri": 0}
+
+        def counting_lu_factor(M, **kwargs):
+            counts["lu_factor"] += 1
+            return scipy.linalg.lu_factor(M, **kwargs)
+
+        def counting_get_lapack_funcs(names, arrays):
+            funcs = scipy.linalg.get_lapack_funcs(names, arrays)
+
+            def getri(*args, **kwargs):
+                counts["getri"] += 1
+                return funcs[0](*args, **kwargs)
+
+            return (getri, *funcs[1:]) if names[0] == "getri" else funcs
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("radiality sampling must not call this")
+
+        monkeypatch.setattr(indices, "lu_factor", counting_lu_factor)
+        monkeypatch.setattr(indices, "get_lapack_funcs", counting_get_lapack_funcs)
+        for module, name in [(scipy.linalg, "lu_solve"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
+                             (np.linalg, "svd"), (np.linalg, "norm"), (indices, "resolvent_norms")]:
+            monkeypatch.setattr(module, name, forbidden)
+        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
+        _max_radiality_ratio(*_radiality_form(pencil), 1, 0.5, 10.0, 3, 7, np.random.default_rng(7))
+        assert counts == {"lu_factor": 14, "getri": 14}
+        assert not hasattr(indices, "lu_solve")
+
+    @pytest.mark.parametrize("box_radius", [1e3, 1e4])
+    def test_nanorod_matches_50_digit_reference(self, box_radius):
+        mpmath = pytest.importorskip("mpmath")
+        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
+        assert not pencil.E.imag.any() and not pencil.A.imag.any()
+        args = (1, 1.0, box_radius, 3, 12)
+        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(0))
+        ref = _mp_radiality_ratio(mpmath, pencil, *args, np.random.default_rng(0))
+        assert fast == pytest.approx(ref, rel=1e-13)
+
+
+def _mp_radiality_ratio(mpmath, pencil, p, omega, box_radius, n_max, num_samples, rng):
+    """50-digit reference for a real pencil: the products (x E - A)^{-1} E and E (x E - A)^{-1}, their
+    powers and weights in mpmath, and each norm by power iteration on the Gram matrix, started from
+    the double-precision top right singular vector."""
+    worst = 0
+    with mpmath.workdps(50):
+        E, A = mpmath.matrix(pencil.E.real.tolist()), mpmath.matrix(pencil.A.real.tolist())
+        for _ in range(num_samples):
+            lams = [mpmath.mpf(x) for x in omega + box_radius * rng.uniform(size=p + 1)]
+            n = int(rng.integers(1, n_max + 1))
+            inverses = [mpmath.inverse(x * E - A) for x in lams]
+            right, left = inverses[0] * E, E * inverses[0]
+            for X in inverses[1:]:
+                right, left = right * (X * E), left * (E * X)
+            weight = mpmath.fprod(abs(x - omega) for x in lams) ** n
+            for M in (right**n, left**n):
+                v = mpmath.matrix(np.linalg.svd(np.array(M.tolist(), dtype=float))[2][0].tolist())
+                for _ in range(3):
+                    v = M.T * (M * v)
+                    v /= mpmath.norm(v)
+                worst = max(worst, mpmath.norm(M * v) * weight)
+    return float(worst)
+
+
+_KINDS = ["dense", "quasi-triangular", "rank-1", "zero"]
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 40),
+    kind=st.sampled_from(_KINDS),
+    is_complex=st.booleans(),
+    scale=st.sampled_from([1.0, 1e200, 1e-200]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=1, kind="dense", is_complex=False, scale=1.0, seed=0)
+@example(n=40, kind="zero", is_complex=True, scale=1.0, seed=0)
+@example(n=40, kind="quasi-triangular", is_complex=False, scale=1e200, seed=1)
+@example(n=40, kind="rank-1", is_complex=True, scale=1e-200, seed=2)
+def test_sigma_max_matches_svd_norm(n, kind, is_complex, scale, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if is_complex else 0.0)
+    if kind == "quasi-triangular":  # upper triangular plus 2x2 diagonal blocks, as in a real QZ form
+        M = np.triu(M) + np.diag(np.diag(M, -1) * (np.arange(n - 1) % 2 == 0), -1)
+    elif kind == "rank-1":
+        M = np.outer(M[:, 0], M[0])
+    elif kind == "zero":
+        M = np.zeros_like(M)
+    M = M * scale
+    ref = np.linalg.norm(M, 2)
+    assert abs(_sigma_max(M) - ref) <= 1e-13 * ref
+
+
+@pytest.fixture(scope="module")
+def nanorod_file(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("nanorod"))
+    assert main(["example", "nanorod", "--n-grid", "4", "--output-dir", out]) == 0
+    return f"{out}/nanorod.json"
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--num-samples", "0", "num_samples"),
+            ("--box-radius", "-10", "box_radius"),
+            ("--radiality-p", "-1", "p"),
+            ("--n-max", "0", "n_max"),
+            ("--lambda-span", "0.5", "lambda_max"),
+            ("--lambda-span", "1", "lambda_max"),
+            ("--lambda-span", "-3", "lambda_max"),
+            ("--omega", "-1", "omega"),
+            ("--num-lines", "0", "num_lines"),
+        ],
+    )
+    def test_cli_exit_2_naming_the_argument(self, tmp_path, capsys, nanorod_file, flag, value, name):
+        args = ["indices", nanorod_file, "--output-dir", str(tmp_path), "--num-samples", "5", flag, value]
+        code = main(args)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{name} must be ")
+        assert not (tmp_path / "indices.json").exists()
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"omega": float("nan")}, "omega"),
+            ({"omega": float("inf")}, "omega"),
+            ({"box_radius": float("inf")}, "box_radius"),
+        ],
+    )
+    def test_radiality_nonfinite_rejected(self, kwargs, name):
+        args = {"omega": 0.5, "box_radius": 10.0} | kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, **args)
+
+    @pytest.mark.parametrize("estimate", [estimate_resolvent_index_real, estimate_resolvent_index_complex])
+    @pytest.mark.parametrize(
+        "omega, lambda_max, name",
+        [
+            (float("nan"), 10.0, "omega"),
+            (0.0, 10.0, "omega"),
+            (0.5, float("inf"), "lambda_max|imag_max"),
+        ],
+    )
+    def test_growth_grid_rejected(self, estimate, omega, lambda_max, name):
+        with pytest.raises(ValueError, match=f"^({name}) must be"):
+            estimate(MatrixPencil(np.eye(1), [[-1.0]]), omega, lambda_max)
+
+    def test_complex_grid_needs_imag_max_above_1(self):
+        with pytest.raises(ValueError, match="^imag_max must be finite and > 1.0, got 0.9"):
+            estimate_resolvent_index_complex(MatrixPencil(np.eye(1), [[-1.0]]), 0.1, 0.9)
 
 
 class TestIndexRelations:
