@@ -20,6 +20,7 @@ from .core import MatrixPencil, probe_regularity
 from .errors import InconsistentInitialState, InvalidParams, OverflowRisk, PencilError
 from .indices import (
     GrowthEstimate,
+    _require_above,
     estimate_resolvent_index_complex,
     estimate_resolvent_index_real,
     index_relations_check,
@@ -72,11 +73,17 @@ def _index_report(
     """The index report and the real and complex growth estimates in it."""
     omega = args.omega if args.omega is not None else _default_omega(pencil, decomp.d1)
     lambda_max = omega * args.lambda_span
+    p_rad = args.radiality_p if args.radiality_p is not None else max(0, decomp.nilpotency_index - 1)
+    # the estimators' own checks, in their order, before the first of them runs
+    _require_above(
+        omega=(0.0, omega), lambda_max=(omega, lambda_max), num_points=(7, args.num_points),
+        imag_max=(1.0, lambda_max), num_lines=(0, args.num_lines), p=(-1, p_rad),
+        n_max=(0, args.n_max), num_samples=(0, args.num_samples), box_radius=(0.0, args.box_radius),
+    )
     real = estimate_resolvent_index_real(pencil, omega, lambda_max, args.num_points)
     cplx = estimate_resolvent_index_complex(
         pencil, omega, lambda_max, args.num_lines, args.num_points
     )
-    p_rad = args.radiality_p if args.radiality_p is not None else max(0, decomp.nilpotency_index - 1)
     rad = verify_radiality(
         pencil,
         p_rad,

@@ -31,7 +31,6 @@ __all__ = [
     "nilpotency_index_of",
 ]
 
-_INF_EIG_TOL = 1e-10
 _COND_LIMIT = 1e12
 
 
@@ -99,91 +98,74 @@ def nilpotency_index_of(N: np.ndarray, scale: float | None = None) -> int:
 
 
 def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
-    """Weierstrass form via pseudo-resolvent deflating subspaces.
+    """Weierstrass form from the rank profile of pseudo-resolvent powers at one shift.
 
-    The generalized eigenvalues split the spectrum into a finite part (d1
-    values) and an infinite part (d2 values); a generalized eigenvalue
-    (alpha, beta) counts as infinite when |beta| <= tol * (|alpha| + |beta|).
-    QZ computes infinite eigenvalues of nilpotency degree k with a relative
-    beta of order eps^{1/k}, which for k >= 2 exceeds any fixed tolerance,
-    so the classification tolerance is relaxed step by step and each
-    resulting candidate split is validated by its reconstruction residual.
-
-    For a candidate split the transformations come from the exact subspace
-    identities at a shift mu in the resolvent set: powers of the right
-    pseudo-resolvent R(mu) = (mu E - A)^{-1} E have range equal to the
-    finite-eigenvalue deflating subspace and kernel equal to the infinite
-    one, and the left pseudo-resolvent E (mu E - A)^{-1} gives the codomain
-    pair.  This avoids the eps^{1/k} accuracy loss of reordered-QZ
-    decoupling for higher-degree nilpotent blocks.  Finding a shift already
-    proves regularity; only when none is found is the pencil probed further.
+    At a shift mu in the resolvent set the powers of R(mu) = (mu E - A)^{-1} E
+    lose rank up to the nilpotency index and keep rank d1 from there on (the
+    Wong sequences); the range of that power is the finite-eigenvalue
+    deflating subspace and its kernel the infinite one, and powers of
+    E (mu E - A)^{-1} at rank d1 give the codomain pair.  mu is the
+    best-conditioned of 16 shifts drawn with a fixed seed, and
+    ``_power_split`` reads the ranks from singular values, so no eigenvalue
+    is classified (QZ puts the infinite eigenvalues of a degree-k block at a
+    relative beta of order eps^{1/k}) and no reordered-QZ decoupling loses
+    eps^{1/k} accuracy.  One reconstruction check accepts the split:
+    ||E_rec - E|| + ||A_rec - A|| <= 1e-8 (||E|| + ||A||).  Every refusal is
+    an ``IllConditionedTransform`` naming mu, the d1 found and the quantity
+    that failed.  Finding a shift already proves regularity; only when none
+    is found is the pencil probed further.
     """
-    shifts = _shift_candidates(pencil)
-    if not shifts and not probe_regularity(pencil, trials=max(16, pencil.n + 1), seed=0):
-        raise IrregularPencil("pencil is numerically singular for all probed shifts")
-    scale = spectral_norm(pencil.E) + spectral_norm(pencil.A)
-
-    alpha, beta = scipy.linalg.eig(
-        pencil.A.astype(complex), pencil.E.astype(complex), right=False, homogeneous_eigvals=True
-    )
-    d1_candidates = []
-    for tol in (_INF_EIG_TOL, 1e-8, 1e-6, 1e-4, 1e-3):
-        d1 = int(np.count_nonzero(np.abs(beta) > tol * (np.abs(alpha) + np.abs(beta))))
-        if d1 not in d1_candidates:
-            d1_candidates.append(d1)
-
-    last_error: Exception | None = None
-    for d1 in d1_candidates:
-        for mu in shifts:
-            try:
-                decomp = _decompose_at(pencil, d1, mu)
-            except (IllConditionedTransform, np.linalg.LinAlgError) as exc:
-                last_error = exc
-                continue
-            rec = reconstruct(decomp)
-            residual = spectral_norm(rec.E - pencil.E) + spectral_norm(rec.A - pencil.A)
-            if residual <= 1e-8 * max(scale, 1e-300):
-                return replace(decomp, reconstruction_residual=residual)
-            last_error = IllConditionedTransform(
-                f"reconstruction residual {residual:.3e} for split d1 = {d1}"
-            )
-    raise IllConditionedTransform(f"no valid finite/infinite splitting found ({last_error})")
+    shifts = list(_invertible_shifts(pencil, 16, seed=12345))
+    if not shifts:
+        if not probe_regularity(pencil, trials=max(16, pencil.n + 1), seed=0):
+            raise IrregularPencil("pencil is numerically singular for all probed shifts")
+        raise IllConditionedTransform("none of 16 drawn shifts is numerically invertible")
+    mu, d1 = min(shifts, key=lambda s: s[1])[0], None
+    try:
+        ran, ker = _power_split(np.linalg.solve(pencil.shifted(mu), pencil.E))
+        d1 = ran.shape[1]
+        decomp = _decompose_at(pencil, mu, ran, ker)
+        rec = reconstruct(decomp)
+        residual = spectral_norm(rec.E - pencil.E) + spectral_norm(rec.A - pencil.A)
+        bound = 1e-8 * max(spectral_norm(pencil.E) + spectral_norm(pencil.A), 1e-300)
+        if residual > bound:
+            raise IllConditionedTransform(f"reconstruction residual {residual:.3e} > {bound:.3e}")
+    except (IllConditionedTransform, np.linalg.LinAlgError) as exc:
+        raise IllConditionedTransform(f"split at shift mu = {mu:.6g} with d1 = {d1}: {exc}") from exc
+    return replace(decomp, reconstruction_residual=residual)
 
 
-def _shift_candidates(pencil: MatrixPencil, count: int = 4):
-    """A few well-spread shifts in the resolvent set, best-conditioned first."""
-    found = sorted(_invertible_shifts(pencil, 4 * count, seed=12345), key=lambda s: s[1])
-    return [lam for lam, _ in found[:count]]
+def _power_split(M: np.ndarray, rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of ran M^k and ker M^k for the first power whose rank the next power repeats.
 
-
-def _range_and_kernel(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal bases of ran M and ker M for a matrix of known rank.
-
-    Returns (range basis, kernel basis, singular-value gap ratio).
+    Each power is normalised to unit norm and its rank read from its SVD:
+    the first i with sigma_i <= 1e-4 sigma_{i-1} and sigma_i <= 1e-8 sigma_0,
+    or n if there is none; 0 if sigma_0 = 0 or the last step ||X_{j-1} M||
+    (over ||M||) fell to the 1e-10 floor of ``nilpotency_index_of``.  A rank
+    of 0 or n returns at once.  Given ``rank``, the first power with a gap
+    at that index is split instead.
     """
-    U, sigma, Vh = np.linalg.svd(M)
-    if rank < len(sigma) and sigma[rank] > 0.0:
-        gap = sigma[rank - 1] / sigma[rank] if rank > 0 else np.inf
-    else:
-        gap = np.inf
-    return U[:, :rank], Vh[rank:, :].conj().T, float(gap)
-
-
-def _stable_power_split(M: np.ndarray, target_rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of ran M^k and ker M^k for the smallest k reaching target_rank."""
     n = M.shape[0]
     base = M / max(spectral_norm(M), 1e-300)
-    X = base
+    X, step, ranks, last = base, 1.0, [], None
     for _ in range(n):
-        ran, ker, gap = _range_and_kernel(X, target_rank)
-        if ker.shape[1] == n - target_rank and gap > 1e4:
-            s = np.linalg.svd(X, compute_uv=False)
-            if target_rank >= len(s) or s[target_rank] <= 1e-8 * s[0]:
-                return ran, ker
+        U, sigma, Vh = np.linalg.svd(X)
+        gaps = 1 + np.flatnonzero((sigma[1:] <= 1e-4 * sigma[:-1]) & (sigma[1:] <= 1e-8 * sigma[0]))
+        r = 0 if sigma[0] == 0.0 or step <= 1e-10 else int(gaps[0]) if gaps.size else n
+        if rank is None:
+            if ranks and r == ranks[-1]:
+                return last
+            if r in (0, n):
+                return U[:, :r], Vh[r:, :].conj().T
+        elif rank in gaps:
+            return U[:, :rank], Vh[rank:, :].conj().T
+        ranks.append(r)
+        last = U[:, :r], Vh[r:, :].conj().T
         X = X @ base
-        X = X / max(spectral_norm(X), 1e-300)
+        step = spectral_norm(X)
+        X = X / max(step, 1e-300)
     raise IllConditionedTransform(
-        f"pseudo-resolvent powers never reach rank {target_rank} with a clear gap"
+        f"pseudo-resolvent powers never settle at a rank gap (target {rank}, ranks {ranks})"
     )
 
 
@@ -225,9 +207,12 @@ def _kernel_flag_basis(N: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def _decompose_at(pencil: MatrixPencil, d1: int, mu: complex) -> WeierstrassDecomposition:
+def _decompose_at(
+    pencil: MatrixPencil, mu: complex, ran_r: np.ndarray, ker_r: np.ndarray
+) -> WeierstrassDecomposition:
+    """The block form from the right split (ran_r, ker_r) of R(mu)'s settled power."""
     E, A, n = pencil.E, pencil.A, pencil.n
-    d2 = n - d1
+    d1, d2 = ran_r.shape[1], ker_r.shape[1]
     if d2 == 0:
         T_L = np.linalg.inv(E)
         T_R = np.eye(n, dtype=complex)
@@ -239,11 +224,7 @@ def _decompose_at(pencil: MatrixPencil, d1: int, mu: complex) -> WeierstrassDeco
         A1 = np.zeros((0, 0), dtype=complex)
         N = T_L @ E
     else:
-        shifted = pencil.shifted(mu)
-        Rmu = np.linalg.solve(shifted, E)
-        Lmu = E @ np.linalg.inv(shifted)
-        ran_r, ker_r = _stable_power_split(Rmu, d1)
-        ran_l, ker_l = _stable_power_split(Lmu, d1)
+        ran_l, ker_l = _power_split(E @ np.linalg.inv(pencil.shifted(mu)), d1)
         T_R = np.hstack([ran_r, ker_r])
         T_L = np.linalg.inv(np.hstack([ran_l, ker_l]))
         Et = T_L @ E @ T_R
@@ -262,8 +243,9 @@ def _decompose_at(pencil: MatrixPencil, d1: int, mu: complex) -> WeierstrassDeco
         T_R = T_R @ rot
         T_L = rot.conj().T @ T_L
 
-    if max(np.linalg.cond(T_L), np.linalg.cond(T_R), 1.0) > _COND_LIMIT:
-        raise IllConditionedTransform("equivalence transformations exceed condition 1e12")
+    cond = max(np.linalg.cond(T_L), np.linalg.cond(T_R))
+    if not cond <= _COND_LIMIT:
+        raise IllConditionedTransform(f"equivalence transformations have condition {cond:.3e} > 1e12")
 
     k = nilpotency_index_of(N) if d2 else 0
     T_R_inv = np.linalg.inv(T_R)

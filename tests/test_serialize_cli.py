@@ -426,6 +426,12 @@ class TestAnalyzeSharesWork:
             assert report[key]["svd_fallbacks"] == 0
             assert 1 <= report[key]["lanczos_steps"] <= 30
 
+    def test_bad_argument_refused_before_any_estimate(self, tmp_path, monkeypatch, capsys, ph_pencil_file):
+        counts = _count_calls(monkeypatch, ["resolvent_norms"])
+        assert main(["indices", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "0"]) == 2
+        assert counts == {"resolvent_norms": 0}
+        assert "num_samples must be finite and > 0" in capsys.readouterr().err
+
     def test_ph_section_uses_estimator_flags(self, tmp_path, ph_pencil_file):
         out = str(tmp_path)
         args = ["--lambda-span", "100", "--num-points", "16", "--num-samples", "10"]
@@ -437,30 +443,42 @@ class TestAnalyzeSharesWork:
 
 
 class TestOneQzPerCall:
+    """Each QZ form is computed once per call: the complex one cached on the pencil,
+    and for a real pencil the real one of the radiality sampling; no call runs ``eig``."""
+
     @pytest.fixture
-    def qz_calls(self, monkeypatch):
-        calls = []
-        original = scipy.linalg.qz
+    def scipy_calls(self, monkeypatch):
+        """Calls of scipy.linalg.qz and scipy.linalg.eig, patched wherever they were imported."""
+        calls = {"qz": 0, "eig": 0}
+        modules = [scipy.linalg] + [m for key, m in sys.modules.items() if key.split(".")[0] == "daepencil"]
+        for name in calls:
+            original = getattr(scipy.linalg, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "qz", counted)
+            for mod in modules:
+                if vars(mod).get(name) is original:
+                    monkeypatch.setattr(mod, name, counted)
         return calls
 
-    def test_analyze(self, tmp_path, qz_calls, ph_pencil_file):
+    def test_analyze(self, tmp_path, scipy_calls, ph_pencil_file):
         assert main(["analyze", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "10"]) == 0
-        assert len(qz_calls) == 1
+        assert scipy_calls == {"qz": 2, "eig": 0}
 
-    def test_simulate(self, tmp_path, qz_calls, ph_pencil_file):
+    def test_simulate(self, tmp_path, scipy_calls, ph_pencil_file):
         pencil = load_pencil(ph_pencil_file).pencil
         # x0 in the range of the pseudo-resolvent power, hence admissible
         z = np.random.default_rng(0).standard_normal(pencil.n)
         x0 = np.linalg.matrix_power(np.linalg.solve(3.0 * pencil.E - pencil.A, pencil.E), 4) @ z
         arg = ",".join(f"{v:.17g}" for v in (x0 / np.max(np.abs(x0))).real)
         assert main(["simulate", ph_pencil_file, "--x0", arg, "--output-dir", str(tmp_path)]) == 0
-        assert len(qz_calls) == 1
+        assert scipy_calls == {"qz": 1, "eig": 0}
+
+    def test_decompose(self, tmp_path, scipy_calls, ph_pencil_file):
+        assert main(["decompose", ph_pencil_file, "--output-dir", str(tmp_path)]) == 0
+        assert scipy_calls == {"qz": 0, "eig": 0}
 
 
 class TestQuadratureRecord:

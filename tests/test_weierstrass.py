@@ -15,7 +15,7 @@ from daepencil import (
     spectral_norm,
     spectral_projectors,
 )
-from daepencil.errors import DegeneratePairing, IrregularPencil, NoConvergence
+from daepencil.errors import DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence
 
 
 def _reconstruction_residual(pencil, decomp):
@@ -79,6 +79,21 @@ class TestDecompose:
         d = decompose(p)
         assert d.reconstruction_residual == _reconstruction_residual(p, d)
         assert d.reconstruction_residual <= 1e-8 * (spectral_norm(p.E) + spectral_norm(p.A))
+
+    @pytest.mark.parametrize("d1", [0, 1])
+    def test_index_six_split_from_rank_profile(self, d1):
+        # QZ puts the infinite eigenvalues of a degree-6 block near eps^(1/6),
+        # far above any eigenvalue tolerance; the ranks of R(mu)^j settle at d1
+        for s in range(10):
+            p = random_regular_pencil(np.random.default_rng([s, d1, 6]), d1, 6, stable=d1 > 0)
+            d = decompose(p)
+            assert (d.d1, d.d2, d.nilpotency_index) == (d1, 6, 6), s
+            assert d.reconstruction_residual <= 1e-8 * (spectral_norm(p.E) + spectral_norm(p.A))
+
+    def test_refusal_names_shift_and_split(self):
+        p = random_regular_pencil(np.random.default_rng([0, 4, 6]), 4, 6, stable=True, cond_max=1e3)
+        with pytest.raises(IllConditionedTransform, match=r"shift mu = \S+ with d1 = \d+: "):
+            decompose(p)
 
     def test_irregular_raises(self):
         N = np.array([[0.0, 1.0], [0.0, 0.0]])
