@@ -28,7 +28,6 @@ __all__ = [
     "reconstruct",
     "spectral_projectors",
     "build_zero_dynamics",
-    "nilpotency_index_of",
 ]
 
 _COND_LIMIT = 1e12
@@ -82,21 +81,6 @@ class ZeroDynModel:
         return MatrixPencil(self.E, self.A)
 
 
-def nilpotency_index_of(N: np.ndarray, scale: float | None = None) -> int:
-    """Smallest k with ||N^k|| below the rounding floor of ||N||^k."""
-    N = np.atleast_2d(N)
-    if N.shape[0] == 0:
-        return 0
-    if scale is None:
-        scale = max(spectral_norm(N), 1.0)
-    power = np.eye(N.shape[0], dtype=complex)
-    for k in range(N.shape[0] + 1):
-        if spectral_norm(power) <= 1e-10 * scale**k:
-            return k
-        power = power @ N
-    return N.shape[0]  # numerically not nilpotent; capped at the dimension
-
-
 def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     """Weierstrass form from the rank profile of pseudo-resolvent powers at one shift.
 
@@ -105,11 +89,11 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     Wong sequences); the range of that power is the finite-eigenvalue
     deflating subspace and its kernel the infinite one, and powers of
     E (mu E - A)^{-1} at rank d1 give the codomain pair.  mu is the
-    best-conditioned of 16 shifts drawn with a fixed seed, and
-    ``_power_split`` reads the ranks from singular values, so no eigenvalue
-    is classified (QZ puts the infinite eigenvalues of a degree-k block at a
-    relative beta of order eps^{1/k}) and no reordered-QZ decoupling loses
-    eps^{1/k} accuracy.  One reconstruction check accepts the split:
+    best-conditioned of 16 shifts drawn with a fixed seed.  ``_rank_cuts``
+    reads every rank from singular values, so no eigenvalue is classified
+    (QZ puts those of a degree-k nilpotent block at eps^{1/k}), and N's
+    kernel flag must take as many steps, the nilpotency index, as the ranks
+    of R(mu)^j take to settle.  One reconstruction check accepts the split:
     ||E_rec - E|| + ||A_rec - A|| <= 1e-8 (||E|| + ||A||).  Every refusal is
     an ``IllConditionedTransform`` naming mu, the d1 found and the quantity
     that failed.  Finding a shift already proves regularity; only when none
@@ -122,9 +106,14 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
         raise IllConditionedTransform("none of 16 drawn shifts is numerically invertible")
     mu, d1 = min(shifts, key=lambda s: s[1])[0], None
     try:
-        ran, ker = _power_split(np.linalg.solve(pencil.shifted(mu), pencil.E))
+        ran, ker, settle = _power_split(np.linalg.solve(pencil.shifted(mu), pencil.E))
         d1 = ran.shape[1]
         decomp = _decompose_at(pencil, mu, ran, ker)
+        if decomp.nilpotency_index != settle:
+            raise IllConditionedTransform(
+                f"kernel flag of N has {decomp.nilpotency_index} steps, "
+                f"but the ranks of R(mu)^j settle at power {settle}"
+            )
         rec = reconstruct(decomp)
         residual = spectral_norm(rec.E - pencil.E) + spectral_norm(rec.A - pencil.A)
         bound = 1e-8 * max(spectral_norm(pencil.E) + spectral_norm(pencil.A), 1e-300)
@@ -135,30 +124,41 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     return replace(decomp, reconstruction_residual=residual)
 
 
-def _power_split(M: np.ndarray, rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of ran M^k and ker M^k for the first power whose rank the next power repeats.
+def _rank_cuts(sigma: np.ndarray, drop: float) -> np.ndarray:
+    """The one rank rule of ``decompose``: the ranks at which singular values may be cut, smallest first.
 
-    Each power is normalised to unit norm and its rank read from its SVD:
-    the first i with sigma_i <= 1e-4 sigma_{i-1} and sigma_i <= 1e-8 sigma_0,
-    or n if there is none; 0 if sigma_0 = 0 or the last step ||X_{j-1} M||
-    (over ||M||) fell to the 1e-10 floor of ``nilpotency_index_of``.  A rank
-    of 0 or n returns at once.  Given ``rank``, the first power with a gap
-    at that index is split instead.
+    A cut at i has sigma_i <= 1e-4 sigma_{i-1} and sigma_i <= 1e-8 sigma_0.
+    Full rank closes the list; the first cut is the rank, or 0 when sigma_0 = 0
+    or ``drop`` (sigma_0 over the previous power's) is at most 1e-10.
+    """
+    if sigma[0] == 0.0 or drop <= 1e-10:
+        return np.zeros(1, dtype=int)
+    gaps = 1 + np.flatnonzero((sigma[1:] <= 1e-4 * sigma[:-1]) & (sigma[1:] <= 1e-8 * sigma[0]))
+    return np.append(gaps, len(sigma))
+
+
+def _power_split(M: np.ndarray, rank: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bases of ran M^k and ker M^k for the first power k whose rank the next power repeats, and k.
+
+    Each power is normalised to unit norm and its rank read from its SVD by
+    ``_rank_cuts``, with the last step ||X_{j-1} M|| over ||M|| as the drop.
+    A rank of 0 returns at once with k the power reached, a rank of n with
+    k = 0.  Given ``rank``, the first power with a cut there is split instead.
     """
     n = M.shape[0]
     base = M / max(spectral_norm(M), 1e-300)
     X, step, ranks, last = base, 1.0, [], None
-    for _ in range(n):
+    for j in range(1, n + 1):
         U, sigma, Vh = np.linalg.svd(X)
-        gaps = 1 + np.flatnonzero((sigma[1:] <= 1e-4 * sigma[:-1]) & (sigma[1:] <= 1e-8 * sigma[0]))
-        r = 0 if sigma[0] == 0.0 or step <= 1e-10 else int(gaps[0]) if gaps.size else n
+        cuts = _rank_cuts(sigma, step)
+        r = int(cuts[0])
         if rank is None:
             if ranks and r == ranks[-1]:
-                return last
+                return (*last, j - 1)
             if r in (0, n):
-                return U[:, :r], Vh[r:, :].conj().T
-        elif rank in gaps:
-            return U[:, :rank], Vh[rank:, :].conj().T
+                return U[:, :r], Vh[r:, :].conj().T, (j if r == 0 else 0)
+        elif rank in cuts:
+            return U[:, :rank], Vh[rank:, :].conj().T, j
         ranks.append(r)
         last = U[:, :r], Vh[r:, :].conj().T
         X = X @ base
@@ -169,42 +169,40 @@ def _power_split(M: np.ndarray, rank: int | None = None) -> tuple[np.ndarray, np
     )
 
 
-def _kernel_flag_basis(N: np.ndarray) -> np.ndarray:
-    """Unitary basis adapted to ker N <= ker N^2 <= ... for nilpotent N.
+def _kernel_flag_basis(N: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unitary basis adapted to ker N <= ker N^2 <= ... for nilpotent N, and its number of steps.
 
     In this basis N is strictly upper triangular up to rounding, because N
     maps ker N^j into ker N^{j-1}.  Unlike a Schur form this costs no
     accuracy: a perturbed nilpotent matrix of degree k has spurious
-    eigenvalues of order eps^{1/k}, while its kernel flag is determined to
-    working precision by the singular value gaps of its powers.
+    eigenvalues of order eps^{1/k}, while ``_rank_cuts`` reads its kernel
+    flag to working precision from the powers (N/||N||)^j.  The number of
+    steps to the whole space is the nilpotency index.
     """
     d = N.shape[0]
     scale = spectral_norm(N)
-    if scale <= 1e-10:  # N is rounding noise, the floor of nilpotency_index_of
-        return np.eye(d, dtype=complex)
-    M = np.eye(d, dtype=complex)
-    blocks: list[np.ndarray] = []
-    covered = 0
-    for _ in range(d):
-        if covered == d:
-            break
+    if scale <= 1e-10:  # N is rounding noise next to A's identity block: N^1 = 0
+        return np.eye(d, dtype=complex), 1
+    M, top, basis, ranks = np.eye(d, dtype=complex), 1.0, np.zeros((d, 0), dtype=complex), [d]
+    for j in range(1, d + 1):
         M = M @ (N / scale)
-        _, sigma_full, Vh = np.linalg.svd(M)
-        # M is a power of a unit-norm matrix, so an absolute cut is meaningful
-        rank = int(np.count_nonzero(sigma_full > 1e-8))
+        _, sv, Vh = np.linalg.svd(M)
+        rank = int(_rank_cuts(sv, sv[0] / top)[0])
+        top = sv[0]
+        cut = ", ".join(f"sigma_{i} = {sv[i]:.3e}" for i in range(max(rank - 1, 0), min(rank + 1, d)))
         kernel = Vh[rank:, :].conj().T
-        if blocks:
-            prev = np.hstack(blocks)
-            kernel = kernel - prev @ (prev.conj().T @ kernel)
-        U, sigma, _ = np.linalg.svd(kernel, full_matrices=False)
+        U, sigma, _ = np.linalg.svd(kernel - basis @ (basis.conj().T @ kernel), full_matrices=False)
         fresh = U[:, sigma > 0.5]
-        if fresh.shape[1] != (d - rank) - covered:
-            raise IllConditionedTransform("kernel flag of the nilpotent block is ill determined")
-        blocks.append(fresh)
-        covered = d - rank
-    if covered != d:
-        raise IllConditionedTransform("infinite-eigenvalue block is not numerically nilpotent")
-    return np.hstack(blocks)
+        if fresh.shape[1] != ranks[-1] - rank:
+            raise IllConditionedTransform(
+                f"kernel flag of N at step {j}: rank {rank} ({cut}) adds {fresh.shape[1]} kernel "
+                f"directions, not {ranks[-1] - rank}; ranks of N^0..N^{j - 1} {ranks}"
+            )
+        basis = np.hstack([basis, fresh])
+        ranks.append(rank)
+        if rank == 0:
+            return basis, j
+    raise IllConditionedTransform(f"N is not nilpotent: rank {rank} at step {d} ({cut}), ranks {ranks}")
 
 
 def _decompose_at(
@@ -224,7 +222,7 @@ def _decompose_at(
         A1 = np.zeros((0, 0), dtype=complex)
         N = T_L @ E
     else:
-        ran_l, ker_l = _power_split(E @ np.linalg.inv(pencil.shifted(mu)), d1)
+        ran_l, ker_l, _ = _power_split(E @ np.linalg.inv(pencil.shifted(mu)), d1)
         T_R = np.hstack([ran_r, ker_r])
         T_L = np.linalg.inv(np.hstack([ran_l, ker_l]))
         Et = T_L @ E @ T_R
@@ -235,9 +233,10 @@ def _decompose_at(
         A1 = np.linalg.solve(E11, A11)
         N = np.linalg.solve(A22, E22)
 
+    k = 0
     if d2 > 0:
         # rotate the infinite block so N is strictly upper triangular
-        W = _kernel_flag_basis(N)
+        W, k = _kernel_flag_basis(N)
         N = np.triu(W.conj().T @ N @ W, 1)
         rot = scipy.linalg.block_diag(np.eye(d1), W)
         T_R = T_R @ rot
@@ -247,7 +246,6 @@ def _decompose_at(
     if not cond <= _COND_LIMIT:
         raise IllConditionedTransform(f"equivalence transformations have condition {cond:.3e} > 1e12")
 
-    k = nilpotency_index_of(N) if d2 else 0
     T_R_inv = np.linalg.inv(T_R)
     T_L_inv = np.linalg.inv(T_L)
     sel = np.zeros((n, n))

@@ -90,7 +90,7 @@ def test_contour_solve_gives_up_early_outside_finite_subspace():
 @given(
     seed=st.integers(0, 2**16),
     d1=st.integers(1, 5),
-    d2=st.sampled_from([2, 3]),
+    d2=st.sampled_from([2, 3, 4]),
     stable=st.booleans(),
 )
 def test_default_omega_from_finite_block(seed, d1, d2, stable):
@@ -125,7 +125,7 @@ def test_analyze_at_default_omega(seed, d1, d2):
     assert report["decomposition"]["nilpotency_index"] == d2
 
 
-@given(seed=st.integers(0, 2**16), d1=st.integers(1, 5), d2=st.sampled_from([2, 3]))
+@given(seed=st.integers(0, 2**16), d1=st.integers(1, 5), d2=st.sampled_from([2, 3, 4]))
 def test_simulate_admissible_state(seed, d1, d2):
     pencil = random_regular_pencil(np.random.default_rng(seed), d1, d2, stable=True)
     x0 = _admissible_x0(decompose(pencil), seed)

@@ -1,5 +1,7 @@
 """Weierstrass decomposition, spectral projectors and the feedback-loop model."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,10 @@ from daepencil import (
     spectral_norm,
     spectral_projectors,
 )
-from daepencil.errors import DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence
+from daepencil import weierstrass
+from daepencil.errors import (
+    DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence, PencilError,
+)
 
 
 def _reconstruction_residual(pencil, decomp):
@@ -89,6 +94,61 @@ class TestDecompose:
             d = decompose(p)
             assert (d.d1, d.d2, d.nilpotency_index) == (d1, 6, 6), s
             assert d.reconstruction_residual <= 1e-8 * (spectral_norm(p.E) + spectral_norm(p.A))
+
+    @pytest.mark.parametrize(
+        "d1, k, s", [(0, 6, 3), (0, 6, 4), (0, 6, 10), (0, 6, 17), (1, 6, 1), (1, 6, 11), (1, 6, 19), (1, 8, 5)]
+    )
+    def test_ill_conditioned_high_index(self, d1, k, s):
+        # at condition 1e3 the singular values of N spread over many orders, so
+        # the flag must cut at relative gaps, and the index must be the flag's
+        # length: a floor on ||N^j|| cannot see the last step
+        p = random_regular_pencil(np.random.default_rng([s, d1, k]), d1, k, stable=d1 > 0, cond_max=1e3)
+        d = decompose(p)
+        assert (d.d1, d.nilpotency_index) == (d1, k)
+        assert d.reconstruction_residual <= 1e-8 * (spectral_norm(p.E) + spectral_norm(p.A))
+
+    def test_stress_table(self):
+        # 720 pencils of index 2 to 8 with transforms of condition up to 1e3:
+        # enough of them solved, none wrong, every refusal typed
+        solved, wrong = 0, []
+        for c, d1, k, s in itertools.product((10.0, 1e3), (0, 1, 4), (2, 3, 4, 5, 6, 8), range(20)):
+            p = random_regular_pencil(np.random.default_rng([s, d1, k]), d1, k, stable=d1 > 0, cond_max=c)
+            try:
+                d = decompose(p)
+            except PencilError:
+                continue
+            if (d.d1, d.nilpotency_index) == (d1, k):
+                solved += 1
+            else:
+                wrong.append((c, d1, k, s, d.d1, d.nilpotency_index))
+        assert wrong == []
+        assert solved >= 555
+
+    def test_index_cross_check_refuses_mismatch(self, monkeypatch):
+        flag = weierstrass._kernel_flag_basis
+
+        def one_step_short(N):
+            W, k = flag(N)
+            return W, k - 1
+
+        monkeypatch.setattr(weierstrass, "_kernel_flag_basis", one_step_short)
+        p = random_regular_pencil(np.random.default_rng(3), 3, 2)
+        with pytest.raises(IllConditionedTransform, match=r"has 1 steps, but the ranks of R\(mu\)\^j settle at power 2"):
+            decompose(p)
+
+    def test_kernel_flag_refusals_name_the_cut(self):
+        # N^2 = 1e-9 I falls only 1e-9 below N, so it reads full rank after rank 1
+        with pytest.raises(
+            IllConditionedTransform,
+            match=r"^kernel flag of N at step 2: rank 2 \(sigma_1 = 1\.000e-09\) adds 0 kernel directions, "
+            r"not -1; ranks of N\^0\.\.N\^1 \[2, 1\]$",
+        ):
+            weierstrass._kernel_flag_basis(np.array([[0.0, 1.0], [1e-9, 0.0]]))
+        with pytest.raises(
+            IllConditionedTransform,
+            match=r"^N is not nilpotent: rank 2 at step 2 \(sigma_1 = 1\.000e\+00\), ranks \[2, 2, 2\]$",
+        ):
+            weierstrass._kernel_flag_basis(np.eye(2))
 
     def test_refusal_names_shift_and_split(self):
         p = random_regular_pencil(np.random.default_rng([0, 4, 6]), 4, 6, stable=True, cond_max=1e3)
