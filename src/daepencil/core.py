@@ -126,11 +126,9 @@ def probe_regularity(pencil: MatrixPencil, trials: int | None = None, seed: int 
 
 
 def _checked_shift(pencil: MatrixPencil, lam: complex) -> np.ndarray:
-    M = pencil.shifted(lam)
-    sig = np.linalg.svd(M, compute_uv=False)
-    if sig[-1] == 0.0 or sig[0] / sig[-1] > kappa_max(pencil.n):
+    if not resolvent_norm(pencil, lam).in_resolvent_set:
         raise SingularShift(f"lambda = {lam} is outside the resolvent set")
-    return M
+    return pencil.shifted(lam)
 
 
 def resolvent(pencil: MatrixPencil, lam: complex) -> np.ndarray:

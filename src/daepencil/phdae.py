@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import MatrixPencil, as_complex_matrix, resolvent_norm, spectral_norm
-from .errors import NoSpectralGap, ShiftOutsideResolventSet, SingularQ
+from .core import MatrixPencil, as_complex_matrix, spectral_norm
+from .errors import NoSpectralGap, SingularQ
 from .indices import GrowthEstimate, estimate_resolvent_index_complex, estimate_resolvent_index_real
 from .solver import Trajectory
 from .weierstrass import WeierstrassDecomposition, decompose
@@ -258,21 +258,18 @@ def _default_omega(pencil: MatrixPencil, d1: int) -> float:
     return max(re_max, 0.0) + 1.0
 
 
-def ph_index_bound_check(
-    ph: PhPencil,
-    omega: float | None = None,
-    lambda_max: float = 1e3,
-    num_points: int = 64,
-) -> tuple[bool, bool]:
-    """(real index <= 2, complex index <= 3) for the pencil (E, AQ)."""
+def _index_estimates(pencil: MatrixPencil, omega: float) -> tuple[GrowthEstimate, GrowthEstimate]:
+    """(real, complex) resolvent-index estimates of ``pencil`` on (omega, 1e3 * omega]."""
+    return (
+        estimate_resolvent_index_real(pencil, omega, omega * 1e3),
+        estimate_resolvent_index_complex(pencil, omega, omega * 1e3),
+    )
+
+
+def ph_index_bound_check(ph: PhPencil) -> tuple[bool, bool]:
+    """(real index <= 2, complex index <= 3) for the pencil (E, AQ) at the default omega."""
     pencil = ph.pencil
-    if omega is None:
-        omega = _default_omega(pencil, decompose(pencil).d1)
-    for probe in np.geomspace(omega, omega * lambda_max, 8):
-        if not resolvent_norm(pencil, complex(probe)).in_resolvent_set:
-            raise ShiftOutsideResolventSet(f"lambda = {probe} on the real ray is singular")
-    real = estimate_resolvent_index_real(pencil, omega, omega * lambda_max, num_points)
-    cplx = estimate_resolvent_index_complex(pencil, omega, omega * lambda_max, 4, num_points)
+    real, cplx = _index_estimates(pencil, _default_omega(pencil, decompose(pencil).d1))
     return real.index <= 2, cplx.index <= 3
 
 
@@ -351,8 +348,7 @@ def verify_ph_structure(
         try:
             pencil = ph.pencil
             w = _default_omega(pencil, decomp.d1) if omega is None else omega
-            real_index = estimate_resolvent_index_real(pencil, w, w * 1e3)
-            complex_index = estimate_resolvent_index_complex(pencil, w, w * 1e3)
+            real_index, complex_index = _index_estimates(pencil, w)
         except Exception as exc:  # noqa: BLE001
             failures.append(f"index estimation: {exc}")
 

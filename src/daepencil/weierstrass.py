@@ -2,11 +2,12 @@
 
 ``decompose`` brings ``(E, A)`` to the equivalent pair
 ``(blkdiag(I, N), blkdiag(A1, I))`` with nilpotent ``N``.  The finite and
-infinite deflating subspaces are the range and kernel of powers of the
-pseudo-resolvents at a shift in the resolvent set, and a kernel-flag basis
-makes ``N`` strictly upper triangular.  ``spectral_projectors`` recovers the
-same splitting through the large-shift limit of powers of the scaled
-pseudo-resolvent, as an independent cross-check.
+infinite right deflating subspaces are the range and kernel of a power of the
+right pseudo-resolvent at a shift in the resolvent set; E and A map them onto
+the left pair, which fixes T_L, and a kernel-flag basis makes ``N`` strictly
+upper triangular.  ``spectral_projectors`` recovers the same splitting
+through the large-shift limit of powers of the scaled pseudo-resolvent, as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -87,13 +88,13 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     At a shift mu in the resolvent set the powers of R(mu) = (mu E - A)^{-1} E
     lose rank up to the nilpotency index and keep rank d1 from there on (the
     Wong sequences); the range of that power is the finite-eigenvalue
-    deflating subspace and its kernel the infinite one, and powers of
-    E (mu E - A)^{-1} at rank d1 give the codomain pair.  mu is the
-    best-conditioned of 16 shifts drawn with a fixed seed.  ``_rank_cuts``
-    reads every rank from singular values, so no eigenvalue is classified
-    (QZ puts those of a degree-k nilpotent block at eps^{1/k}), and N's
-    kernel flag must take as many steps, the nilpotency index, as the ranks
-    of R(mu)^j take to settle.  One reconstruction check accepts the split:
+    deflating subspace and its kernel the infinite one.  E maps the first and
+    A the second onto the codomain pair, so those right bases V1, V2 fix
+    T_L = [E V1, A V2]^{-1}.  mu is the best-conditioned of 16 shifts drawn
+    with a fixed seed.  ``_gap_rank`` reads every rank from singular values,
+    so no eigenvalue is classified (QZ puts those of a degree-k nilpotent
+    block at eps^{1/k}), and N's kernel flag must take as many steps, the
+    nilpotency index, as the ranks of R(mu)^j take to settle.  One reconstruction check accepts the split:
     ||E_rec - E|| + ||A_rec - A|| <= 1e-8 (||E|| + ||A||).  Every refusal is
     an ``IllConditionedTransform`` naming mu, the d1 found and the quantity
     that failed.  Finding a shift already proves regularity; only when none
@@ -101,14 +102,14 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     """
     shifts = list(_invertible_shifts(pencil, 16, seed=12345))
     if not shifts:
-        if not probe_regularity(pencil, trials=max(16, pencil.n + 1), seed=0):
+        if not probe_regularity(pencil):
             raise IrregularPencil("pencil is numerically singular for all probed shifts")
         raise IllConditionedTransform("none of 16 drawn shifts is numerically invertible")
     mu, d1 = min(shifts, key=lambda s: s[1])[0], None
     try:
         ran, ker, settle = _power_split(np.linalg.solve(pencil.shifted(mu), pencil.E))
         d1 = ran.shape[1]
-        decomp = _decompose_at(pencil, mu, ran, ker)
+        decomp = _decompose_at(pencil, ran, ker)
         if decomp.nilpotency_index != settle:
             raise IllConditionedTransform(
                 f"kernel flag of N has {decomp.nilpotency_index} steps, "
@@ -124,49 +125,40 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     return replace(decomp, reconstruction_residual=residual)
 
 
-def _rank_cuts(sigma: np.ndarray, drop: float) -> np.ndarray:
-    """The one rank rule of ``decompose``: the ranks at which singular values may be cut, smallest first.
-
-    A cut at i has sigma_i <= 1e-4 sigma_{i-1} and sigma_i <= 1e-8 sigma_0.
-    Full rank closes the list; the first cut is the rank, or 0 when sigma_0 = 0
-    or ``drop`` (sigma_0 over the previous power's) is at most 1e-10.
-    """
+def _gap_rank(sigma: np.ndarray, drop: float) -> int:
+    """The one rank rule of ``decompose``: the first i with sigma_i <= 1e-4 sigma_{i-1} and
+    sigma_i <= 1e-8 sigma_0, else full rank; 0 when sigma_0 = 0 or ``drop`` (sigma_0 over the
+    previous power's) is at most 1e-10."""
     if sigma[0] == 0.0 or drop <= 1e-10:
-        return np.zeros(1, dtype=int)
-    gaps = 1 + np.flatnonzero((sigma[1:] <= 1e-4 * sigma[:-1]) & (sigma[1:] <= 1e-8 * sigma[0]))
-    return np.append(gaps, len(sigma))
+        return 0
+    gaps = np.flatnonzero((sigma[1:] <= 1e-4 * sigma[:-1]) & (sigma[1:] <= 1e-8 * sigma[0]))
+    return int(gaps[0]) + 1 if len(gaps) else len(sigma)
 
 
-def _power_split(M: np.ndarray, rank: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+def _power_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Bases of ran M^k and ker M^k for the first power k whose rank the next power repeats, and k.
 
     Each power is normalised to unit norm and its rank read from its SVD by
-    ``_rank_cuts``, with the last step ||X_{j-1} M|| over ||M|| as the drop.
+    ``_gap_rank``, with the last step ||X_{j-1} M|| over ||M|| as the drop.
     A rank of 0 returns at once with k the power reached, a rank of n with
-    k = 0.  Given ``rank``, the first power with a cut there is split instead.
+    k = 0.
     """
     n = M.shape[0]
     base = M / max(spectral_norm(M), 1e-300)
     X, step, ranks, last = base, 1.0, [], None
     for j in range(1, n + 1):
         U, sigma, Vh = np.linalg.svd(X)
-        cuts = _rank_cuts(sigma, step)
-        r = int(cuts[0])
-        if rank is None:
-            if ranks and r == ranks[-1]:
-                return (*last, j - 1)
-            if r in (0, n):
-                return U[:, :r], Vh[r:, :].conj().T, (j if r == 0 else 0)
-        elif rank in cuts:
-            return U[:, :rank], Vh[rank:, :].conj().T, j
+        r = _gap_rank(sigma, step)
+        if ranks and r == ranks[-1]:
+            return (*last, j - 1)
+        if r in (0, n):
+            return U[:, :r], Vh[r:, :].conj().T, (j if r == 0 else 0)
         ranks.append(r)
         last = U[:, :r], Vh[r:, :].conj().T
         X = X @ base
         step = spectral_norm(X)
         X = X / max(step, 1e-300)
-    raise IllConditionedTransform(
-        f"pseudo-resolvent powers never settle at a rank gap (target {rank}, ranks {ranks})"
-    )
+    raise IllConditionedTransform(f"pseudo-resolvent powers never settle at a rank gap (ranks {ranks})")
 
 
 def _kernel_flag_basis(N: np.ndarray) -> tuple[np.ndarray, int]:
@@ -175,7 +167,7 @@ def _kernel_flag_basis(N: np.ndarray) -> tuple[np.ndarray, int]:
     In this basis N is strictly upper triangular up to rounding, because N
     maps ker N^j into ker N^{j-1}.  Unlike a Schur form this costs no
     accuracy: a perturbed nilpotent matrix of degree k has spurious
-    eigenvalues of order eps^{1/k}, while ``_rank_cuts`` reads its kernel
+    eigenvalues of order eps^{1/k}, while ``_gap_rank`` reads its kernel
     flag to working precision from the powers (N/||N||)^j.  The number of
     steps to the whole space is the nilpotency index.
     """
@@ -187,7 +179,7 @@ def _kernel_flag_basis(N: np.ndarray) -> tuple[np.ndarray, int]:
     for j in range(1, d + 1):
         M = M @ (N / scale)
         _, sv, Vh = np.linalg.svd(M)
-        rank = int(_rank_cuts(sv, sv[0] / top)[0])
+        rank = _gap_rank(sv, sv[0] / top)
         top = sv[0]
         cut = ", ".join(f"sigma_{i} = {sv[i]:.3e}" for i in range(max(rank - 1, 0), min(rank + 1, d)))
         kernel = Vh[rank:, :].conj().T
@@ -205,33 +197,18 @@ def _kernel_flag_basis(N: np.ndarray) -> tuple[np.ndarray, int]:
     raise IllConditionedTransform(f"N is not nilpotent: rank {rank} at step {d} ({cut}), ranks {ranks}")
 
 
-def _decompose_at(
-    pencil: MatrixPencil, mu: complex, ran_r: np.ndarray, ker_r: np.ndarray
-) -> WeierstrassDecomposition:
-    """The block form from the right split (ran_r, ker_r) of R(mu)'s settled power."""
+def _decompose_at(pencil: MatrixPencil, ran_r: np.ndarray, ker_r: np.ndarray) -> WeierstrassDecomposition:
+    """The block form from the right split (ran_r, ker_r) of R(mu)'s settled power.
+
+    T_R = [ran_r, ker_r] (I when one block is empty) fixes T_L = [E T_R1, A T_R2]^{-1}: E maps the
+    finite right deflating subspace, and A the infinite one, onto the matching left subspaces.
+    """
     E, A, n = pencil.E, pencil.A, pencil.n
     d1, d2 = ran_r.shape[1], ker_r.shape[1]
-    if d2 == 0:
-        T_L = np.linalg.inv(E)
-        T_R = np.eye(n, dtype=complex)
-        A1 = T_L @ A
-        N = np.zeros((0, 0), dtype=complex)
-    elif d1 == 0:
-        T_L = np.linalg.inv(A)
-        T_R = np.eye(n, dtype=complex)
-        A1 = np.zeros((0, 0), dtype=complex)
-        N = T_L @ E
-    else:
-        ran_l, ker_l, _ = _power_split(E @ np.linalg.inv(pencil.shifted(mu)), d1)
-        T_R = np.hstack([ran_r, ker_r])
-        T_L = np.linalg.inv(np.hstack([ran_l, ker_l]))
-        Et = T_L @ E @ T_R
-        At = T_L @ A @ T_R
-        E11, E22 = Et[:d1, :d1], Et[d1:, d1:]
-        A11, A22 = At[:d1, :d1], At[d1:, d1:]
-        T_L = scipy.linalg.block_diag(np.linalg.inv(E11), np.linalg.inv(A22)) @ T_L
-        A1 = np.linalg.solve(E11, A11)
-        N = np.linalg.solve(A22, E22)
+    T_R = np.hstack([ran_r, ker_r]) if d1 and d2 else np.eye(n, dtype=complex)
+    T_L = np.linalg.inv(np.hstack([E @ T_R[:, :d1], A @ T_R[:, d1:]]))
+    A1 = T_L[:d1] @ A @ T_R[:, :d1]
+    N = T_L[d1:] @ E @ T_R[:, d1:]
 
     k = 0
     if d2 > 0:
