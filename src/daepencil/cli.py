@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .core import MatrixPencil, probe_regularity
-from .errors import InconsistentInitialState, InvalidParams, OverflowRisk, PencilError
+from .core import MatrixPencil
+from .errors import InvalidParams, IrregularPencil, OverflowRisk, PencilError
 from .indices import (
     GrowthEstimate,
     _require_above,
@@ -140,13 +140,13 @@ def _cmd_verify_ph(args) -> int:
 def _cmd_analyze(args) -> int:
     obj = _load_input(args.input)
     pencil = _dynamics_pencil(obj)
-    report: dict = {"seed": args.seed, "regular": probe_regularity(pencil, seed=args.seed)}
+    try:
+        decomp = decompose(pencil)  # finding a shift proves regularity
+    except IrregularPencil:
+        save_json(os.path.join(args.output_dir, "analyze.json"), {"seed": args.seed, "regular": False})
+        raise
+    report: dict = {"seed": args.seed, "regular": True}
     status = EXIT_OK
-    if not report["regular"]:
-        save_json(os.path.join(args.output_dir, "analyze.json"), report)
-        _emit_error("IrregularPencil", "no sampled shift was invertible")
-        return EXIT_VERIFICATION_FAILED
-    decomp = decompose(pencil)
     report["decomposition"] = decomposition_to_dict(decomp)
     report["indices"], real, cplx = _index_report(args, pencil, decomp)
     if isinstance(obj, PhPencil):
@@ -183,7 +183,7 @@ def _cmd_simulate(args) -> int:
     decomp = decompose(pencil)
     omega = args.omega if args.omega is not None else _default_omega(pencil, decomp.d1)
     # p >= 2 keeps the contour integrand decaying like |lambda|^-3 so the
-    # truncated Bromwich line converges; p >= nilpotency covers the DAE part
+    # truncated Bromwich line converges; z0 in ran P already removes the DAE part
     p = args.p if args.p is not None else max(2, decomp.nilpotency_index)
     mu = args.mu if args.mu is not None else omega + 1.0
     quad = QuadratureConfig(tolerance=args.quad_tol)
@@ -221,7 +221,7 @@ def _cmd_simulate(args) -> int:
         traj_w = weierstrass_solve(decomp, x0, times)
         scale = max(float(np.max(np.abs(traj_w.states))), 1e-300)
         report["solver_agreement"] = float(np.max(np.abs(traj.states - traj_w.states)) / scale)
-    except (InconsistentInitialState, OverflowRisk) as exc:
+    except OverflowRisk as exc:  # admission already passed the same ran P test
         report["solver_agreement"] = None
         report["weierstrass_note"] = str(exc)
     if isinstance(obj, PhPencil):
@@ -303,7 +303,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         _add_common(sub, config)
         if needs_est:
             _add_estimator_opts(sub, config)
-        else:
+        elif name == "verify-ph":
             sub.add_argument("--omega", type=float, default=config.get("omega"))
         sub.set_defaults(func=func)
 

@@ -273,17 +273,10 @@ def ph_index_bound_check(ph: PhPencil) -> tuple[bool, bool]:
     return real.index <= 2, cplx.index <= 3
 
 
-def _range_basis(M: np.ndarray) -> np.ndarray:
-    U, sigma, _ = np.linalg.svd(M)
-    return U[:, : _numerical_rank(sigma)]
-
-
-def _same_column_space(basis_a: np.ndarray, basis_b: np.ndarray) -> bool:
-    if basis_a.shape[1] != basis_b.shape[1]:
-        return False
-    stacked = np.hstack([basis_a, basis_b])
-    sigma = np.linalg.svd(stacked, compute_uv=False)
-    return _numerical_rank(sigma) == basis_a.shape[1]
+def _same_column_space(M: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether the columns of M, orthonormalised by QR with no rank decision, span ran ``basis``."""
+    stacked = np.hstack([np.linalg.qr(M)[0], basis])
+    return _numerical_rank(np.linalg.svd(stacked, compute_uv=False)) == basis.shape[1]
 
 
 def semigroup_condition_check(
@@ -291,14 +284,13 @@ def semigroup_condition_check(
 ) -> tuple[bool, bool]:
     """Subspace alignment tests for the two semigroup-generation conditions.
 
-    With X1 = ran P and Z1 = ran R of the decomposition of (E, AQ):
-    first flag is Q*(Z1) = X1, second is Q(X1) = Z1.
+    From the decomposition of (E, AQ), X1 = ran P is spanned by T_R[:, :d1]
+    and Z1 = ran R by E X1, the first d1 columns of T_L^{-1}; every basis is
+    orthonormalised by QR.  First flag is Q*(Z1) = X1, second is Q(X1) = Z1.
     """
-    X1 = _range_basis(decomp.P)
-    Z1 = _range_basis(decomp.R)
-    cond_a = _same_column_space(_range_basis(ph.Q.conj().T @ Z1), X1)
-    cond_b = _same_column_space(_range_basis(ph.Q @ X1), Z1)
-    return cond_a, cond_b
+    X1 = np.linalg.qr(decomp.T_R[:, : decomp.d1])[0]
+    Z1 = np.linalg.qr(ph.E @ X1)[0]
+    return _same_column_space(ph.Q.conj().T @ Z1, X1), _same_column_space(ph.Q @ X1, Z1)
 
 
 def verify_ph_structure(

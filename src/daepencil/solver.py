@@ -1,9 +1,9 @@
 """Initial-value solvers for d/dt Ex = Ax.
 
-Two routes: the contour-integral representation of the solution along a
-vertical (Bromwich) line, valid for initial states in the range of a high
-enough pseudo-resolvent power, and exact block decoupling through the
-Weierstrass form.  The sign convention is fixed against the scalar oracle:
+Two routes, which accept the same initial states, those in ran P: the
+contour-integral representation of the solution along a vertical (Bromwich)
+line, and exact block decoupling through the Weierstrass form.  The sign
+convention is fixed against the scalar oracle:
 
     x0 = (-1)^{p-1} R(mu)^p z0,
     x(t) = -(1/2 pi i) * integral e^{lambda t} R(lambda) z0 / (lambda-mu)^p,
@@ -40,20 +40,21 @@ __all__ = [
 ]
 
 
+#: ``bromwich_integral``'s first half-length and nodes per panel, and its doublings per phase
+INITIAL_HALF_LENGTH = 32.0
+NODES_PER_PANEL = 16
+MAX_REFINEMENTS = 12
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Adaptive truncated-line quadrature parameters."""
 
-    initial_half_length: float = 32.0
-    nodes_per_panel: int = 16
     tolerance: float = 1e-8
-    max_refinements: int = 12
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,10 @@ def bromwich_integral(
             total = total + P @ ((0.5 * L * w[node])[:, None] * integrand(lams))
         return total / (2.0 * np.pi)  # d(lambda) = i dy
 
-    K, nodes = max(1, int(np.ceil(quad.initial_half_length / L))), quad.nodes_per_panel
+    K, nodes = max(1, int(np.ceil(INITIAL_HALF_LENGTH / L))), NODES_PER_PANEL
     prev, sizes = evaluate(range(-K, K), nodes), []
     # phase 1: extend the truncation by outer panels until their sum is negligible
-    for i in range(1, quad.max_refinements + 1):
+    for i in range(1, MAX_REFINEMENTS + 1):
         outer = evaluate([*range(-2 * K, -K), *range(K, 2 * K)], nodes)
         prev, K = prev + outer, 2 * K
         sizes.append(float(np.max(np.abs(outer))))
@@ -150,10 +151,10 @@ def bromwich_integral(
         # a tail ~ |lambda|^-q shrinks the sum by 2^(1-q) < 1 per doubling: stop when even the
         # fastest shrink factor so far, of three or more, cannot reach the tolerance in the budget
         rate = min((a / b for a, b in zip(sizes[1:], sizes[:-1])), default=0.0)
-        left = quad.max_refinements - i
+        left = MAX_REFINEMENTS - i
         if len(sizes) >= 4 and left and rate < 1.0 and sizes[-1] * rate**left > 0.5 * quad.tolerance:
             raise QuadratureNotConverged(
-                f"contour truncation cannot converge in {quad.max_refinements} doublings: at half-length "
+                f"contour truncation cannot converge in {MAX_REFINEMENTS} doublings: at half-length "
                 f"{K * L:g} the outer panels sum to {sizes[-1]:.3e}, and each doubling kept at least "
                 f"{rate:.3g} of that sum, as for an integrand decaying like "
                 f"|lambda|^-{1.0 - np.log2(rate):.3g}"
@@ -162,7 +163,7 @@ def bromwich_integral(
         raise QuadratureNotConverged(f"contour truncation did not converge up to half-length {K * L:g}")
     rec.update(half_length=K * L, truncation_refinements=i)
     # phase 2: refine node density at fixed truncation
-    for j in range(1, quad.max_refinements + 1):
+    for j in range(1, MAX_REFINEMENTS + 1):
         nodes *= 2
         cur = evaluate(range(-K, K), nodes)
         diff = float(np.max(np.abs(cur - prev)))
@@ -173,27 +174,31 @@ def bromwich_integral(
     raise QuadratureNotConverged(f"contour nodes: {nodes} per panel still differ by {diff:.3e}")
 
 
+def _off_finite_subspace(decomp: WeierstrassDecomposition, x0: np.ndarray) -> tuple[float, bool]:
+    """||x0 - P x0|| and whether it is at most 1e-8 ||x0||: both solvers' test of x0 in ran P."""
+    residual = float(np.linalg.norm(x0 - decomp.P @ x0))
+    return residual, bool(residual <= 1e-8 * np.linalg.norm(x0))
+
+
 def admissible_initial_state(
     pencil: MatrixPencil, mu: complex, p: int, x0: np.ndarray,
     decomp: WeierstrassDecomposition | None = None,
 ) -> tuple[bool, np.ndarray, float]:
-    """Test x0 in ran R(mu)^p and return a preimage z0 in ran P.
+    """Test x0 in ran P (P of ``decomp``, decomposed here if not given) and return z0 in ran P.
 
-    Solves R(mu)^p z = (-1)^{p-1} x0 in least squares; membership requires
-    the back-substituted residual to stay below 1e-8 * ||x0||.  z0 = P z, with
-    P from ``decomp`` (decomposed here if not given): a component of z in the
-    infinite deflating subspace would slow the integrand's decay to |lambda|^-p.
+    R(mu) is nilpotent on ker P, so G = R(mu) + I - P is invertible and acts
+    as R(mu) on ran P: p solves with one LU of G, applied to (-1)^{p-1} P x0,
+    give x0 = (-1)^{p-1} R(mu)^p z0.  G uses only R(mu) and P, never A1 or
+    T_R, so the contour solve stays an independent check on ``weierstrass_solve``.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(pencil.n)
-    R = right_pseudo_resolvent(pencil, mu)
-    Rp = np.linalg.matrix_power(R, p)
-    sign = (-1.0) ** (p - 1)
-    z0, *_ = np.linalg.lstsq(Rp, sign * x0, rcond=None)
-    residual = float(np.linalg.norm(sign * (Rp @ z0) - x0))
-    member = residual <= 1e-8 * max(np.linalg.norm(x0), 1e-300)
-    if np.linalg.norm(x0) == 0.0:
-        member, z0, residual = True, np.zeros_like(x0), 0.0
-    return member, (decomp if decomp is not None else decompose(pencil)).P @ z0, residual
+    decomp = decomp if decomp is not None else decompose(pencil)
+    residual, member = _off_finite_subspace(decomp, x0)
+    lu = scipy.linalg.lu_factor(right_pseudo_resolvent(pencil, mu) + np.eye(pencil.n) - decomp.P)
+    z0 = (-1.0) ** (p - 1) * (decomp.P @ x0)
+    for _ in range(p):
+        z0 = scipy.linalg.lu_solve(lu, z0)
+    return member, z0, residual
 
 
 def contour_solve(
@@ -233,16 +238,16 @@ def weierstrass_solve(decomp, x0: np.ndarray, times: np.ndarray) -> Trajectory:
     """Exact solution through the decoupled blocks.
 
     The homogeneous nilpotent block forces the algebraic component to zero,
-    so x0 must have a negligible component there (relative 1e-8).
+    so x0 must lie in ran P by the test of ``admissible_initial_state``.
     """
     times = np.asarray(times, dtype=float)
     x0 = np.asarray(x0, dtype=complex).reshape(decomp.n)
-    y = np.linalg.solve(decomp.T_R, x0)
-    y1, y2 = y[: decomp.d1], y[decomp.d1 :]
-    if np.linalg.norm(y2) > 1e-8 * max(np.linalg.norm(x0), 1e-300):
+    residual, member = _off_finite_subspace(decomp, x0)
+    if not member:
         raise InconsistentInitialState(
-            f"nilpotent component has norm {np.linalg.norm(y2):.3e}; state is not solvable"
+            f"x0 is {residual:.3e} from ran P, above 1e-8 ||x0||; state is not solvable"
         )
+    y1 = np.linalg.solve(decomp.T_R, x0)[: decomp.d1]
     T1 = decomp.T_R[:, : decomp.d1]
     states = [T1 @ (matrix_exponential(decomp.A1, t) @ y1) for t in times]
     return Trajectory(times=times, states=np.array(states).reshape(len(times), decomp.n))

@@ -25,7 +25,7 @@ from daepencil import (
     weierstrass_solve,
 )
 from daepencil.cli import main
-from daepencil.errors import QuadratureNotConverged
+from daepencil.errors import InconsistentInitialState, QuadratureNotConverged
 from daepencil.phdae import _default_omega
 from daepencil.serialize import save_pencil
 
@@ -48,15 +48,72 @@ def test_default_omega_index_two():
     assert _default_omega(pencil, d.d1) == 1.0  # max Re eig(A1) < 0
 
 
-def test_preimage_in_finite_subspace():
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_preimage_in_finite_subspace(p):
     pencil = _index_two_pencil()
     d = decompose(pencil)
     x0 = _admissible_x0(d, 1)
-    member, z0, _ = admissible_initial_state(pencil, 2.0, 2, x0)
+    member, z0, _ = admissible_initial_state(pencil, 2.0, p, x0)
     assert member
     assert np.linalg.norm(z0 - d.P @ z0) <= 1e-10 * np.linalg.norm(z0)
-    R = np.linalg.solve(2.0 * pencil.E - pencil.A, pencil.E)
-    assert np.linalg.norm(-(R @ R @ z0) - x0) <= 1e-8 * np.linalg.norm(x0)
+    Rp = np.linalg.matrix_power(np.linalg.solve(2.0 * pencil.E - pencil.A, pencil.E), p)
+    assert np.linalg.norm((-1.0) ** (p - 1) * (Rp @ z0) - x0) <= 1e-8 * np.linalg.norm(x0)
+
+
+def _range_of_square_not_finite():
+    """An index-3 pencil and x0 = -R(mu)^2 z: in ran R(mu)^2, but not in ran P = ran R(mu)^3."""
+    pencil = random_regular_pencil(np.random.default_rng(0), 3, 3, stable=True)
+    d = decompose(pencil)
+    mu = _default_omega(pencil, d.d1) + 1.0
+    R = np.linalg.solve(mu * pencil.E - pencil.A, pencil.E)
+    return pencil, d, mu, -(R @ R @ np.random.default_rng(1).standard_normal(pencil.n))
+
+
+def test_range_of_lower_power_not_admissible():
+    pencil, d, mu, x0 = _range_of_square_not_finite()
+    assert d.nilpotency_index == 3
+    member, _, residual = admissible_initial_state(pencil, mu, 2, x0, d)
+    assert not member
+    assert residual == pytest.approx(np.linalg.norm(x0 - d.P @ x0))
+    assert residual > 0.1 * np.linalg.norm(x0)
+
+
+def test_simulate_refuses_range_of_lower_power(tmp_path):
+    pencil, _, _, x0 = _range_of_square_not_finite()
+    out = str(tmp_path)
+    save_pencil(os.path.join(out, "pencil.json"), pencil)
+    with open(os.path.join(out, "x0.json"), "w") as fh:
+        json.dump([[v.real, v.imag] for v in x0], fh)
+    code = main(
+        ["simulate", os.path.join(out, "pencil.json"), "--x0-file", os.path.join(out, "x0.json"),
+         "--p", "2", "--output-dir", out]
+    )
+    assert code == 1
+    with open(os.path.join(out, "simulate.json")) as fh:
+        report = json.load(fh)
+    assert report["admissible"] is False
+    assert not os.path.exists(os.path.join(out, "trajectory.csv"))
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    d1=st.integers(1, 5),
+    d2=st.sampled_from([2, 3, 4]),
+    t=st.sampled_from([0.0, 1e-6, 1.0]),
+)
+def test_solvers_share_one_consistency_rule(seed, d1, d2, t):
+    rng = np.random.default_rng(seed)
+    pencil = random_regular_pencil(rng, d1, d2, stable=True)
+    d = decompose(pencil)
+    z, w = rng.standard_normal(d.n), rng.standard_normal(d.n)
+    x0 = d.P @ z + t * (w - d.P @ w)
+    member, _, _ = admissible_initial_state(pencil, 2.0, 2, x0, d)
+    try:
+        weierstrass_solve(d, x0, np.linspace(0.0, 1.0, 5))
+    except InconsistentInitialState:
+        assert not member
+    else:
+        assert member
 
 
 def test_contour_solve_converges_at_omega_one():

@@ -210,9 +210,11 @@ class TestIndexBounds:
 
 class TestSemigroupConditions:
     def test_identity_q_aligned(self):
-        ph = PhPencil(np.diag([1.0, 0.0]), -np.eye(2), np.eye(2))
-        d = decompose(ph.pencil)
-        assert semigroup_condition_check(ph, d) == (True, True)
+        # a DAE, then d1 = 0 (E = 0) and d2 = 0 (E = I)
+        for E in (np.diag([1.0, 0.0]), np.zeros((3, 3)), np.eye(3)):
+            ph = PhPencil(E, -np.eye(len(E)), np.eye(len(E)))
+            d = decompose(ph.pencil)
+            assert semigroup_condition_check(ph, d) == (True, True)
 
     def test_generic_q_misaligned(self):
         # a generic non-unitary Q tilts Q(X1) away from Z1

@@ -275,6 +275,17 @@ class TestCliPipeline:
         assert json.loads(capsys.readouterr().err)["error"] == "IrregularPencil"
         assert not os.path.exists(str(tmp_path / "decompose.json"))
 
+    def test_analyze_irregular_exit_1(self, tmp_path, capsys):
+        N = np.array([[0.0, 1.0], [0.0, 0.0]])
+        pencil_file = str(tmp_path / "irregular.json")
+        save_pencil(pencil_file, MatrixPencil(N, N))
+        assert main(["analyze", pencil_file, "--output-dir", str(tmp_path), "--seed", "3"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IrregularPencil"
+        assert json.load(open(tmp_path / "analyze.json")) == {"regular": False, "seed": 3}
+
+    def test_decompose_has_no_omega(self, tmp_path, scalar_pencil_file):
+        assert main(["decompose", scalar_pencil_file, "--omega", "2", "--output-dir", str(tmp_path)]) == 2
+
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)]) == 2
 
@@ -406,7 +417,7 @@ class TestAnalyzeSharesWork:
         assert counts == {
             "decompose": 1,
             "reconstruct": 1,
-            "probe_regularity": 1,
+            "probe_regularity": 0,  # decompose's shift proves regularity
             "estimate_resolvent_index_real": 1,
             "estimate_resolvent_index_complex": 1,
             "resolvent_norm": 0,
