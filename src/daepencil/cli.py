@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -182,12 +183,10 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_x0(args, pencil.n)
     decomp = decompose(pencil)
     omega = args.omega if args.omega is not None else _default_omega(pencil, decomp.d1)
-    # p >= 2 keeps the contour integrand decaying like |lambda|^-3 so the
-    # truncated Bromwich line converges; z0 in ran P already removes the DAE part
+    # p >= 2 makes the contour integrand decay like |lambda|^-3; contour_solve adds its tail terms
     p = args.p if args.p is not None else max(2, decomp.nilpotency_index)
     mu = args.mu if args.mu is not None else omega + 1.0
-    quad = QuadratureConfig(tolerance=args.quad_tol)
-    config = SolveConfig(mu=mu, omega=omega, p=p, quad=quad)
+    config = SolveConfig(mu=mu, omega=omega, p=p, quad=QuadratureConfig(tolerance=args.quad_tol))
     times = np.linspace(0.0, args.t_final, args.num_steps + 1)
 
     member, z0, adm_residual = admissible_initial_state(pencil, mu, p, x0, decomp)
@@ -214,8 +213,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_VERIFICATION_FAILED
 
     traj = contour_solve(pencil, z0, config, times)
-    traj = traj.with_mild_residual(mild_solution_residual(pencil, traj))
-    report["mild_residual"] = traj.mild_residual
+    report["mild_residual"] = mild_solution_residual(pencil, traj)
     report["quadrature"] = traj.quadrature
     try:
         traj_w = weierstrass_solve(decomp, x0, times)
@@ -232,7 +230,7 @@ def _cmd_simulate(args) -> int:
             report["hamiltonian_note"] = str(exc)
             _emit_error("HamiltonianFailed", str(exc))
         else:
-            traj = traj.with_hamiltonian(trace.H)
+            traj = replace(traj, hamiltonian=trace.H)
             report["hamiltonian_max_increase"] = trace.max_increase
     save_trajectory_csv(os.path.join(args.output_dir, "trajectory.csv"), traj)
     save_json(os.path.join(args.output_dir, "simulate.json"), report)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import factorial
 
 import numpy as np
 from scipy.linalg import eigh, get_lapack_funcs, lu_factor, qz
@@ -280,7 +281,6 @@ def integrated_semigroup_sample(
     t: float,
     x: np.ndarray,
     quad: QuadratureConfig | None = None,
-    omega: float | None = None,
 ) -> np.ndarray:
     """Evaluate the (n-1)-times integrated semigroup S(t)x of A1.
 
@@ -293,18 +293,14 @@ def integrated_semigroup_sample(
     x = np.asarray(x, dtype=complex).reshape(A1.shape[0])
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if quad is None:
-        quad = QuadratureConfig()
-    if omega is None:
-        omega = max(float(np.max(np.linalg.eigvals(A1).real)), 0.0) + 1.0
+    quad = quad or QuadratureConfig()
+    omega = max(float(np.max(np.linalg.eigvals(A1).real)), 0.0) + 1.0
 
     # (lam - A)^{-1} = sum_{j<J} A^j lam^{-j-1} + lam^{-J} A^J (lam - A)^{-1};
     # inverse transform of lam^{-m} is t^{m-1}/(m-1)!.
     J = max(0, 4 - n)
     result = np.zeros_like(x)
     Ajx = x.copy()
-    from math import factorial
-
     for j in range(J):
         m = n + j
         result = result + (t ** (m - 1) / factorial(m - 1)) * Ajx

@@ -1,8 +1,8 @@
 """Initial-value solvers for d/dt Ex = Ax.
 
-Two routes, which accept the same initial states, those in ran P: the
-contour-integral representation of the solution along a vertical (Bromwich)
-line, and exact block decoupling through the Weierstrass form.  The sign
+Two routes, which accept the same initial states, those in ran P: the contour-integral
+representation of the solution along a vertical (Bromwich) line, less tail terms that
+integrate to 0, and exact block decoupling through the Weierstrass form.  The sign
 convention is fixed against the scalar oracle:
 
     x0 = (-1)^{p-1} R(mu)^p z0,
@@ -13,7 +13,7 @@ with R(lambda) = (lambda E - A)^{-1} E; then x(0) = x0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -40,10 +40,12 @@ __all__ = [
 ]
 
 
-#: ``bromwich_integral``'s first half-length and nodes per panel, and its doublings per phase
+#: ``bromwich_integral``'s first half-length, nodes per panel and doublings per phase, and the
+#: most tail terms ``contour_solve`` subtracts
 INITIAL_HALF_LENGTH = 32.0
 NODES_PER_PANEL = 16
 MAX_REFINEMENTS = 12
+MAX_TAIL_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,11 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution with optional Hamiltonian trace and diagnostics."""
+    """Sampled solution with optional Hamiltonian trace and quadrature record."""
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
     hamiltonian: np.ndarray | None = None
-    mild_residual: float | None = None
     quadrature: dict | None = None  # the contour quadrature's record, see bromwich_integral
 
     def __post_init__(self):
@@ -96,12 +97,6 @@ class Trajectory:
             raise ValueError("hamiltonian trace must align with times")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-
-    def with_hamiltonian(self, h: np.ndarray) -> "Trajectory":
-        return replace(self, hamiltonian=np.asarray(h, float))
-
-    def with_mild_residual(self, r: float) -> "Trajectory":
-        return replace(self, mild_residual=r)
 
 
 def bromwich_integral(
@@ -184,12 +179,14 @@ def admissible_initial_state(
     pencil: MatrixPencil, mu: complex, p: int, x0: np.ndarray,
     decomp: WeierstrassDecomposition | None = None,
 ) -> tuple[bool, np.ndarray, float]:
-    """Test x0 in ran P (P of ``decomp``, decomposed here if not given) and return z0 in ran P.
+    """Test x0 in ran P (P of ``decomp``, decomposed here if not given) and return its preimages.
 
-    R(mu) is nilpotent on ker P, so G = R(mu) + I - P is invertible and acts
-    as R(mu) on ran P: p solves with one LU of G, applied to (-1)^{p-1} P x0,
-    give x0 = (-1)^{p-1} R(mu)^p z0.  G uses only R(mu) and P, never A1 or
-    T_R, so the contour solve stays an independent check on ``weierstrass_solve``.
+    R(mu) is nilpotent on ker P, so G = R(mu) + I - P is invertible and acts as R(mu) on
+    ran P: p solves with one LU of G, applied to (-1)^{p-1} P x0, give z_0 in ran P with
+    x0 = (-1)^{p-1} R(mu)^p z_0, and each further solve, z_j = -G^{-1} z_{j-1}, the preimage
+    at power p + j, for the tail ``contour_solve`` subtracts (rows j <= MAX_TAIL_TERMS).  G
+    uses only R(mu) and P, never A1 or T_R, so the contour solve stays an independent check
+    on ``weierstrass_solve``.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(pencil.n)
     decomp = decomp if decomp is not None else decompose(pencil)
@@ -198,7 +195,10 @@ def admissible_initial_state(
     z0 = (-1.0) ** (p - 1) * (decomp.P @ x0)
     for _ in range(p):
         z0 = scipy.linalg.lu_solve(lu, z0)
-    return member, z0, residual
+    chain = [z0]
+    for _ in range(MAX_TAIL_TERMS):
+        chain.append(-scipy.linalg.lu_solve(lu, chain[-1]))
+    return member, np.array(chain), residual
 
 
 def contour_solve(
@@ -206,11 +206,22 @@ def contour_solve(
 ) -> Trajectory:
     """Solve the IVP by quadrature of the Bromwich representation.
 
-    The initial state represented is x0 = (-1)^{p-1} R(mu)^p z0; the
+    The initial state represented is x0 = (-1)^{p-1} R(mu)^p z_0; the
     returned x(0) matches it to within ten times the quadrature tolerance.
+    Given the chain z_0..z_m of ``admissible_initial_state``, not z_0 alone, it subtracts J
+    tail terms: with s = lambda - mu and y_j = (-1)^j z_j, R(lambda) z_0 = sum_{j<J} (-1)^j
+    s^{-j-1} y_j + (-1)^J s^{-J} R(lambda) y_J; the sum has poles only at mu, right of the line,
+    so it integrates to 0 for t >= 0 and leaves the integrand at power p + J, applied to z_J.  J
+    stops before the first z_j that rounds by eps ||z_j|| / (Re mu - omega)^{p+j+1} > tol / 100, and
+    is dropped below p - 1, where its larger integrand near the line costs more nodes than it saves.
     """
-    z0 = np.asarray(z0, dtype=complex).reshape(pencil.n)
-    mu, omega, p = complex(config.mu), config.omega, config.p
+    chain = np.asarray(z0, dtype=complex).reshape(-1 if np.ndim(z0) == 2 else 1, pencil.n)
+    mu, omega, tol = complex(config.mu), config.omega, config.quad.tolerance
+    scale = tol / 100 * (mu.real - omega) ** (config.p + 2 + np.arange(len(chain) - 1))
+    held = np.finfo(float).eps * np.linalg.norm(chain[1:], axis=1) <= scale
+    J = int(np.cumprod(held).sum())
+    J = J if J >= config.p - 1 else 0
+    z0, p = chain[J], config.p + J
     if not resolvent_norm(pencil, complex(omega, 0.0)).in_resolvent_set:
         raise ShiftOutsideResolventSet(f"abscissa omega = {omega} is not in the resolvent set")
 
@@ -218,7 +229,7 @@ def contour_solve(
         return -resolvent_apply(pencil, lams, pencil.E @ z0) / ((lams - mu) ** p)[:, None]
 
     states, record = bromwich_integral(integrand, omega, times, config.quad)
-    return Trajectory(times=times, states=states, quadrature=record)
+    return Trajectory(times=times, states=states, quadrature={**record, "tail_terms": J})
 
 
 def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -248,23 +259,31 @@ def weierstrass_solve(decomp, x0: np.ndarray, times: np.ndarray) -> Trajectory:
             f"x0 is {residual:.3e} from ran P, above 1e-8 ||x0||; state is not solvable"
         )
     y1 = np.linalg.solve(decomp.T_R, x0)[: decomp.d1]
-    T1 = decomp.T_R[:, : decomp.d1]
-    states = [T1 @ (matrix_exponential(decomp.A1, t) @ y1) for t in times]
-    return Trajectory(times=times, states=np.array(states).reshape(len(times), decomp.n))
+    # e^{A1 t_k} = e^{A1 (t_k - t_{k-1})} e^{A1 t_{k-1}}: one exp per distinct step
+    steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    factors = [matrix_exponential(decomp.A1, h) for h in steps]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, as in matrix_exponential
+        ys = np.array([y1 := factors[i] @ y1 for i in step_of]).reshape(len(times), decomp.d1)
+    if not np.all(np.abs(ys) <= np.exp(700.0)):  # the product can overflow where no factor does
+        raise OverflowRisk("e^{A1 t} y1 has entries beyond e^700 or overflowed double precision")
+    return Trajectory(times=times, states=ys @ decomp.T_R[:, : decomp.d1].T)
 
 
 def mild_solution_residual(pencil: MatrixPencil, traj: Trajectory) -> float:
-    """Deviation from Ex(t) - Ex(0) = A * integral_0^t x(s) ds (Simpson)."""
-    from scipy.integrate import cumulative_simpson
-
+    """Deviation from Ex(t) - Ex(0) = A * integral_0^t x(s) ds, integrated by the rule of
+    ``scipy.integrate.cumulative_simpson``, a package slower to import than a simulate is to run."""
     if len(traj.times) < 5:
         raise ValueError("trajectory needs at least 5 samples for Simpson quadrature")
-    x = traj.states  # (nt, n)
-    integral = cumulative_simpson(x.real, x=traj.times, axis=0, initial=0.0) + 1j * cumulative_simpson(
-        x.imag, x=traj.times, axis=0, initial=0.0
-    )
+
+    def parabolas(y, h):  # over each step h[k], the parabola through y[k], y[k+1], y[k+2]
+        a, b = h[:-1, None], h[1:, None]
+        r, q = a / (a + b), a / (a + b) * (a / b)
+        return a / 6 * ((3 - r) * y[:-2] + (3 + q + r) * y[1:-1] - q * y[2:])
+
+    x, h = traj.states, np.diff(traj.times)  # (nt, n), (nt - 1,)
+    behind = parabolas(x[::-1], h[::-1])[::-1]  # over step k + 1, through y[k], y[k+1], y[k+2]
+    steps = np.concatenate([np.zeros_like(x[:1]), parabolas(x, h), behind[-1:]])
+    steps[2::2] = behind[::2]  # odd steps, and the last, take the parabola behind them
     Ex = x @ pencil.E.T
-    lhs = Ex - Ex[0]
-    rhs = integral @ pencil.A.T
-    denom = 1.0 + np.linalg.norm(Ex[0])
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=1)) / denom)
+    rhs = np.cumsum(steps, axis=0) @ pencil.A.T
+    return float(np.max(np.linalg.norm(Ex - Ex[0] - rhs, axis=1)) / (1.0 + np.linalg.norm(Ex[0])))

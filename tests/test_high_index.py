@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import random_regular_pencil
@@ -28,6 +28,7 @@ from daepencil.cli import main
 from daepencil.errors import InconsistentInitialState, QuadratureNotConverged
 from daepencil.phdae import _default_omega
 from daepencil.serialize import save_pencil
+from daepencil.solver import MAX_TAIL_TERMS
 
 QUAD_TOL = QuadratureConfig().tolerance
 
@@ -53,8 +54,9 @@ def test_preimage_in_finite_subspace(p):
     pencil = _index_two_pencil()
     d = decompose(pencil)
     x0 = _admissible_x0(d, 1)
-    member, z0, _ = admissible_initial_state(pencil, 2.0, p, x0)
+    member, chain, _ = admissible_initial_state(pencil, 2.0, p, x0)
     assert member
+    z0 = chain[0]
     assert np.linalg.norm(z0 - d.P @ z0) <= 1e-10 * np.linalg.norm(z0)
     Rp = np.linalg.matrix_power(np.linalg.solve(2.0 * pencil.E - pencil.A, pencil.E), p)
     assert np.linalg.norm((-1.0) ** (p - 1) * (Rp @ z0) - x0) <= 1e-8 * np.linalg.norm(x0)
@@ -127,6 +129,58 @@ def test_contour_solve_converges_at_omega_one():
     a = contour_solve(pencil, z0, config, times).states
     b = weierstrass_solve(d, x0, times).states
     assert np.max(np.abs(a - b)) <= 10.0 * QUAD_TOL * np.max(np.abs(b))
+
+
+def test_tail_chain_preimages():
+    pencil = _index_two_pencil()
+    d = decompose(pencil)
+    x0 = _admissible_x0(d, 1)
+    _, chain, _ = admissible_initial_state(pencil, 2.0, 2, x0, d)
+    assert chain.shape == (MAX_TAIL_TERMS + 1, pencil.n)
+    R = np.linalg.solve(2.0 * pencil.E - pencil.A, pencil.E)
+    for j, z in enumerate(chain):
+        x = (-1.0) ** (2 + j - 1) * (np.linalg.matrix_power(R, 2 + j) @ z)
+        assert np.linalg.norm(x - x0) <= 1e-8 * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3])
+def test_tail_of_either_sign(J):
+    # a chain cut after z_J caps the tail at J terms; odd J subtracts with the other sign
+    pencil = _index_two_pencil()
+    d = decompose(pencil)
+    x0 = _admissible_x0(d, 1)
+    config = SolveConfig(mu=2.0, omega=1.0, p=2)
+    _, chain, _ = admissible_initial_state(pencil, config.mu, config.p, x0, d)
+    times = np.linspace(0.0, 1.0, 21)
+    traj = contour_solve(pencil, chain[: J + 1], config, times)
+    assert traj.quadrature["tail_terms"] == J
+    b = weierstrass_solve(d, x0, times).states
+    assert np.max(np.abs(traj.states - b)) <= 1e-9 * np.max(np.abs(b))
+    assert np.max(np.abs(traj.states[0] - x0)) <= 10.0 * QUAD_TOL
+
+
+@given(seed=st.integers(0, 2**16), d1=st.integers(1, 5), d2=st.sampled_from([2, 3, 4]))
+@example(seed=1, d1=3, d2=4)  # index 4, tail of 5 terms
+@example(seed=0, d1=5, d2=4)  # index 4, a tail of 2 terms would take 28,672 nodes to the plain 24,576
+@example(seed=4, d1=5, d2=4)  # index 4, a tail of 1 term would take 57,344 nodes to the plain 49,152
+def test_tail_keeps_solution_in_fewer_nodes(seed, d1, d2):
+    rng = np.random.default_rng(seed)
+    pencil = random_regular_pencil(rng, d1, d2, stable=True)
+    d = decompose(pencil)
+    x0 = _admissible_x0(d, seed)
+    config = SolveConfig(mu=2.0, omega=1.0, p=max(2, d.nilpotency_index))
+    _, chain, _ = admissible_initial_state(pencil, config.mu, config.p, x0, d)
+    times = np.linspace(0.0, 1.0, 11)
+    tailed = contour_solve(pencil, chain, config, times)
+    plain = contour_solve(pencil, chain[0], config, times)
+    exact = weierstrass_solve(d, x0, times).states
+    scale = np.max(np.abs(exact))
+    # QZ puts the infinite eigenvalues of an index-4 block near eps^(1/4), and on a few such
+    # pencils even the plain contour solve is ~1e-9 from the Weierstrass one: the tail adds <= 1e-9
+    plain_error = np.max(np.abs(plain.states - exact)) / scale
+    assert np.max(np.abs(tailed.states - exact)) / scale <= 1e-9 + plain_error
+    assert np.max(np.abs(tailed.states[0] - x0)) <= 10.0 * QUAD_TOL
+    assert tailed.quadrature["nodes_evaluated"] <= plain.quadrature["nodes_evaluated"]
 
 
 def test_contour_solve_gives_up_early_outside_finite_subspace():

@@ -517,13 +517,14 @@ class TestQuadratureRecord:
         args = ["--x0-file", x0_file, "--quad-tol", "1e-8", "--t-final", "1.0", "--num-steps", "100"]
         assert main(["simulate", ph_pencil_file, "--output-dir", str(tmp_path), *args]) == 0
         record = json.load(open(tmp_path / "simulate.json"))["quadrature"]
-        assert sum(nodes) == record["nodes_evaluated"] == 393216
+        assert sum(nodes) == record["nodes_evaluated"] == 7168
         assert record["last_difference"] <= 1e-8
         del record["last_difference"]
         assert record == {
-            "half_length": 8192.0,
-            "nodes_per_panel": 32,
-            "nodes_evaluated": 393216,
-            "truncation_refinements": 8,
-            "density_refinements": 1,
+            "half_length": 64.0,
+            "nodes_per_panel": 64,
+            "nodes_evaluated": 7168,
+            "truncation_refinements": 1,
+            "density_refinements": 2,
+            "tail_terms": 6,
         }

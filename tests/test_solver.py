@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import daepencil.solver
 from daepencil import (
     L2ExampleParams,
     MatrixPencil,
@@ -20,7 +22,7 @@ from daepencil import (
     weierstrass_solve,
 )
 from daepencil.errors import InconsistentInitialState, OverflowRisk
-from daepencil.solver import NODES_PER_PANEL
+from daepencil.solver import MAX_TAIL_TERMS, NODES_PER_PANEL
 
 
 def _scalar_config(p=3, mu=1.0, omega=0.5):
@@ -111,7 +113,7 @@ class TestAdmissibility:
         p = MatrixPencil(np.eye(1), [[a]])
         member, z0, _ = admissible_initial_state(p, 1.0, 2, np.array([1.0]))
         assert member
-        assert z0[0] == pytest.approx(-(1.0 - a) ** 2, rel=1e-10)
+        assert z0[0, 0] == pytest.approx(-(1.0 - a) ** 2, rel=1e-10)
 
     def test_nilpotent_component_not_member(self):
         p = MatrixPencil(np.diag([1.0, 0.0]), np.eye(2))
@@ -172,6 +174,19 @@ class TestContourSolve:
             runs.append(contour_solve(p, z0, cfg, times).states)
         assert np.max(np.abs(runs[0] - runs[1])) <= 1e-5
 
+    def test_tail_held_at_zero_for_large_preimage(self):
+        # (1, -100) at mu = 2: ||z0|| = 102^2 ~ 1e4, and the next preimage ~ 1e6 would lose
+        # eps * 1e6 ~ 2e-10 > tolerance / 100 to rounding, so no tail term is subtracted
+        p = MatrixPencil(np.eye(1), [[-100.0]])
+        cfg = SolveConfig(mu=2.0, omega=1.0, p=2)
+        _, chain, _ = admissible_initial_state(p, cfg.mu, cfg.p, np.array([1.0]))
+        assert chain.shape == (MAX_TAIL_TERMS + 1, 1)
+        times = np.linspace(0.0, 0.1, 3)
+        tailed = contour_solve(p, chain, cfg, times)
+        assert tailed.quadrature["tail_terms"] == 0
+        assert np.array_equal(tailed.states, contour_solve(p, chain[0], cfg, times).states)
+        assert np.max(np.abs(tailed.states[:, 0] - np.exp(-100.0 * times))) <= 1e-9
+
 
 class TestWeierstrassSolve:
     def test_ode_reduces_to_exponential(self):
@@ -188,6 +203,30 @@ class TestWeierstrassSolve:
         traj = weierstrass_solve(d, np.array([1.0, 0.0]), times)
         assert np.allclose(traj.states[:, 0], np.exp(times), atol=1e-10)
         assert np.allclose(traj.states[:, 1], 0.0, atol=1e-10)
+
+    def test_one_exponential_per_distinct_step(self, monkeypatch):
+        A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 1.0], [0.0, 0.5, -3.0]])
+        d = decompose(MatrixPencil(np.eye(3), A))
+        steps = []
+        original = daepencil.solver.matrix_exponential
+
+        def counted(M, t=1.0):
+            steps.append(t)
+            return original(M, t)
+
+        monkeypatch.setattr(daepencil.solver, "matrix_exponential", counted)
+        times = np.linspace(0.0, 1.0, 101)
+        x0 = np.array([1.0, -0.5, 0.25])
+        traj = weierstrass_solve(d, x0, times)
+        assert len(steps) == len(np.unique(np.diff(times, prepend=0.0))) == 9
+        expected = np.array([scipy.linalg.expm(A * t) @ x0 for t in times])
+        assert np.max(np.abs(traj.states - expected)) <= 1e-13
+
+    def test_overflow_of_the_stepped_state_raises(self):
+        # every step's exp(1 * 8) is finite, but the state reaches e^800 by t = 800
+        d = decompose(MatrixPencil(np.eye(1), [[1.0]]))
+        with pytest.raises(OverflowRisk):
+            weierstrass_solve(d, np.array([1.0]), np.linspace(0.0, 800.0, 101))
 
     def test_inconsistent_state_raises(self):
         d = decompose(MatrixPencil(np.diag([1.0, 0.0]), np.eye(2)))
@@ -251,6 +290,21 @@ class TestMildResidual:
         states = np.exp(-times)[:, None].astype(complex)
         states[50, 0] += 0.1
         assert mild_solution_residual(p, Trajectory(times, states)) >= 1e-3
+
+    @pytest.mark.parametrize("nt", [5, 6, 101])
+    def test_integral_is_scipy_cumulative_simpson(self, nt):
+        from scipy.integrate import cumulative_simpson
+
+        rng = np.random.default_rng(nt)
+        p = MatrixPencil(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+        times = np.sort(rng.uniform(0.0, 2.0, nt))
+        x = rng.standard_normal((nt, 3)) + 1j * rng.standard_normal((nt, 3))
+        integral = cumulative_simpson(x.real, x=times, axis=0, initial=0.0) + 1j * cumulative_simpson(
+            x.imag, x=times, axis=0, initial=0.0
+        )
+        Ex = x @ p.E.T
+        deviation = np.max(np.linalg.norm(Ex - Ex[0] - integral @ p.A.T, axis=1))
+        assert mild_solution_residual(p, Trajectory(times, x)) == deviation / (1.0 + np.linalg.norm(Ex[0]))
 
     def test_too_few_samples(self):
         p = MatrixPencil(np.eye(1), [[-1.0]])
