@@ -98,16 +98,20 @@ class ResolventSample:
     in_resolvent_set: bool
 
 
-def _invertible_shifts(pencil: MatrixPencil, trials: int, seed: int):
-    """Draw ``trials`` shifts uniformly from the disk of radius 2*(||E|| + ||A||)
-    and yield ``(lam, cond)`` for each with sigma_min > 1e-12 * max(sigma_max, 1)."""
+def _invertible_shifts(pencil: MatrixPencil, trials: int, seed: int, scale: float | None = None):
+    """Draw ``trials`` shifts uniformly from the disk of radius 2*``scale`` (default ||E|| + ||A||) and
+    yield ``(lam, cond, lu)`` for each: LAPACK's 1-norm condition estimate on the LU of lam E - A, and
+    that LU if no pivot is zero and rcond > 1e-12 max(1, 1/||lam E - A||_1), else None."""
     rng = np.random.default_rng(seed)
-    radius = 2.0 * (spectral_norm(pencil.E) + spectral_norm(pencil.A))
+    radius = 2.0 * (spectral_norm(pencil.E) + spectral_norm(pencil.A) if scale is None else scale)
+    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (pencil.E,))
     for _ in range(trials):
         lam = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        sig = np.linalg.svd(pencil.shifted(lam), compute_uv=False)
-        if sig[-1] > 1e-12 * max(sig[0], 1.0):
-            yield lam, sig[0] / sig[-1]
+        M = pencil.shifted(lam)
+        (lu, piv, info), anorm = getrf(M), np.linalg.norm(M, 1)
+        rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+        ok = rcond * anorm > 1e-12 * max(anorm, 1.0)
+        yield lam, 1.0 / rcond if rcond > 0 else np.inf, (lu, piv) if ok else None
 
 
 def probe_regularity(pencil: MatrixPencil, trials: int | None = None, seed: int = 0) -> bool:
@@ -122,7 +126,7 @@ def probe_regularity(pencil: MatrixPencil, trials: int | None = None, seed: int 
         trials = max(16, n + 1)
     if trials < n + 1:
         raise ValueError(f"trials must be at least n+1 = {n + 1}")
-    return next(_invertible_shifts(pencil, trials, seed), None) is not None
+    return any(lu is not None for *_, lu in _invertible_shifts(pencil, trials, seed))
 
 
 def _checked_shift(pencil: MatrixPencil, lam: complex) -> np.ndarray:

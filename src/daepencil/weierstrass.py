@@ -90,24 +90,28 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
     Wong sequences); the range of that power is the finite-eigenvalue
     deflating subspace and its kernel the infinite one.  E maps the first and
     A the second onto the codomain pair, so those right bases V1, V2 fix
-    T_L = [E V1, A V2]^{-1}.  mu is the best-conditioned of 16 shifts drawn
-    with a fixed seed.  ``_gap_rank`` reads every rank from singular values,
-    so no eigenvalue is classified (QZ puts those of a degree-k nilpotent
-    block at eps^{1/k}), and N's kernel flag must take as many steps, the
-    nilpotency index, as the ranks of R(mu)^j take to settle.  One reconstruction check accepts the split:
+    T_L = [E V1, A V2]^{-1}.  mu is the best of 16 shifts drawn with a fixed
+    seed by LAPACK's 1-norm condition estimate on their LUs, and its LU gives
+    R(mu).  ``_gap_rank`` reads every rank from singular values, so no
+    eigenvalue is classified (QZ puts those of a degree-k nilpotent block at
+    eps^{1/k}), and N's kernel flag must take as many steps, the nilpotency
+    index, as the ranks of R(mu)^j take to settle.  One reconstruction check accepts the split:
     ||E_rec - E|| + ||A_rec - A|| <= 1e-8 (||E|| + ||A||).  Every refusal is
     an ``IllConditionedTransform`` naming mu, the d1 found and the quantity
     that failed.  Finding a shift already proves regularity; only when none
-    is found is the pencil probed further.
+    is found is the pencil probed further, and the refusal names the draws.
     """
-    shifts = list(_invertible_shifts(pencil, 16, seed=12345))
-    if not shifts:
+    scale = spectral_norm(pencil.E) + spectral_norm(pencil.A)
+    # min streams the draws and keeps only the best so far with its LU; invertible ones rank first
+    mu, cond, lu = min(_invertible_shifts(pencil, 16, 12345, scale), key=lambda s: (s[2] is None, s[1]))
+    if lu is None:
+        tried = f"16 shifts drawn with seed 12345 from |mu| <= {2 * scale:.6g}, best condition estimate {cond:.3e}"
         if not probe_regularity(pencil):
-            raise IrregularPencil("pencil is numerically singular for all probed shifts")
-        raise IllConditionedTransform("none of 16 drawn shifts is numerically invertible")
-    mu, d1 = min(shifts, key=lambda s: s[1])[0], None
+            raise IrregularPencil(f"pencil is numerically singular for all probed shifts ({tried})")
+        raise IllConditionedTransform(f"no drawn shift is numerically invertible ({tried})")
+    d1 = None
     try:
-        ran, ker, settle = _power_split(np.linalg.solve(pencil.shifted(mu), pencil.E))
+        ran, ker, settle = _power_split(scipy.linalg.lu_solve(lu, pencil.E, check_finite=False))
         d1 = ran.shape[1]
         decomp = _decompose_at(pencil, ran, ker)
         if decomp.nilpotency_index != settle:
@@ -117,7 +121,7 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
             )
         rec = reconstruct(decomp)
         residual = spectral_norm(rec.E - pencil.E) + spectral_norm(rec.A - pencil.A)
-        bound = 1e-8 * max(spectral_norm(pencil.E) + spectral_norm(pencil.A), 1e-300)
+        bound = 1e-8 * max(scale, 1e-300)
         if residual > bound:
             raise IllConditionedTransform(f"reconstruction residual {residual:.3e} > {bound:.3e}")
     except (IllConditionedTransform, np.linalg.LinAlgError) as exc:
@@ -138,26 +142,27 @@ def _gap_rank(sigma: np.ndarray, drop: float) -> int:
 def _power_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Bases of ran M^k and ker M^k for the first power k whose rank the next power repeats, and k.
 
-    Each power is normalised to unit norm and its rank read from its SVD by
-    ``_gap_rank``, with the last step ||X_{j-1} M|| over ||M|| as the drop.
-    A rank of 0 returns at once with k the power reached, a rank of n with
-    k = 0.
+    Each power is normalised to unit norm by the values-only SVD of the
+    unnormalised product, and ``_gap_rank`` reads its rank from the same
+    singular values, with the last step ||X_{j-1} M|| over ||M|| as the drop;
+    only the returned power takes an SVD with vectors.  A rank of 0 returns at
+    once with k the power reached, a rank of n with k = 0, each with the identity.
     """
     n = M.shape[0]
-    base = M / max(spectral_norm(M), 1e-300)
+    sigma = np.linalg.svd(M, compute_uv=False)
+    base = M / max(sigma[0], 1e-300)
     X, step, ranks, last = base, 1.0, [], None
     for j in range(1, n + 1):
-        U, sigma, Vh = np.linalg.svd(X)
-        r = _gap_rank(sigma, step)
+        r = _gap_rank(sigma / max(sigma[0], 1e-300), step)
         if ranks and r == ranks[-1]:
-            return (*last, j - 1)
+            U, _, Vh = np.linalg.svd(last)
+            return U[:, :r], Vh[r:, :].conj().T, j - 1
         if r in (0, n):
-            return U[:, :r], Vh[r:, :].conj().T, (j if r == 0 else 0)
+            return (*np.hsplit(np.eye(n, dtype=complex), [r]), j if r == 0 else 0)
         ranks.append(r)
-        last = U[:, :r], Vh[r:, :].conj().T
-        X = X @ base
-        step = spectral_norm(X)
-        X = X / max(step, 1e-300)
+        last, X = X, X @ base
+        sigma = np.linalg.svd(X, compute_uv=False)
+        X, step = X / max(sigma[0], 1e-300), sigma[0]
     raise IllConditionedTransform(f"pseudo-resolvent powers never settle at a rank gap (ranks {ranks})")
 
 
@@ -205,7 +210,7 @@ def _decompose_at(pencil: MatrixPencil, ran_r: np.ndarray, ker_r: np.ndarray) ->
     """
     E, A, n = pencil.E, pencil.A, pencil.n
     d1, d2 = ran_r.shape[1], ker_r.shape[1]
-    T_R = np.hstack([ran_r, ker_r]) if d1 and d2 else np.eye(n, dtype=complex)
+    T_R = np.hstack([ran_r, ker_r])
     T_L = np.linalg.inv(np.hstack([E @ T_R[:, :d1], A @ T_R[:, d1:]]))
     A1 = T_L[:d1] @ A @ T_R[:, :d1]
     N = T_L[d1:] @ E @ T_R[:, d1:]

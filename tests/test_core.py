@@ -78,7 +78,7 @@ class TestProbeRegularity:
         expected = [
             radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(8)
         ]
-        assert [lam for lam, _ in _invertible_shifts(p, 8, seed=12345)] == expected
+        assert [lam for lam, *_ in _invertible_shifts(p, 8, seed=12345)] == expected
 
 
 class TestResolvent:

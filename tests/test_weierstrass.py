@@ -10,7 +10,11 @@ import scipy.linalg
 from conftest import random_complex, random_regular_pencil, random_well_conditioned
 
 from daepencil import (
+    L2ExampleParams,
     MatrixPencil,
+    NanorodParams,
+    build_l2_example,
+    build_nanorod,
     build_zero_dynamics,
     decompose,
     random_ph_pencil,
@@ -188,6 +192,52 @@ class TestDecompose:
         N = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(IrregularPencil):
             decompose(MatrixPencil(N, N))
+
+    def test_irregular_refusal_names_the_draws(self):
+        with pytest.raises(
+            IrregularPencil,
+            match=r"singular for all probed shifts \(16 shifts drawn with seed 12345 from \|mu\| <= 0, "
+            r"best condition estimate inf\)$",
+        ):
+            decompose(MatrixPencil(np.zeros((2, 2)), np.zeros((2, 2))))
+
+    def test_one_svd_with_vectors_per_call(self, monkeypatch):
+        # the shift screen ranks draws by LU condition estimates, and the power split takes the
+        # ranks from the SVDs that normalise the powers: only the returned power needs vectors
+        calls, svd = [], np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        p = random_regular_pencil(np.random.default_rng(7), 20, 3)
+        assert list(weierstrass._invertible_shifts(p, 16, 12345)) and calls == []
+        d = decompose(p)
+        assert (d.d1, d.nilpotency_index) == (20, 3)
+        assert calls.count(((23, 23), True)) == 1
+
+    @pytest.mark.parametrize(
+        "pencil",
+        [
+            build_nanorod(NanorodParams(n_grid=4)).pencil,
+            build_l2_example(L2ExampleParams(K=40)),
+            build_zero_dynamics(np.diag(-np.arange(1.0, 5.0)), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil,
+        ],
+        ids=["nanorod", "l2", "zero-dyn"],
+    )
+    def test_model_shift_is_the_best_2_norm_conditioned(self, monkeypatch, pencil):
+        # the 1-norm estimate must pick the shift of smallest exact 2-norm condition among the
+        # same 16 draws, so the model reports keep their shift
+        rng = np.random.default_rng(12345)
+        radius = 2.0 * (spectral_norm(pencil.E) + spectral_norm(pencil.A))
+        draws = [radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(16)]
+        mu = min(draws, key=lambda lam: np.linalg.cond(pencil.shifted(lam)))
+        seen, split = [], weierstrass._power_split
+        monkeypatch.setattr(weierstrass, "_power_split", lambda M: seen.append(M) or split(M))
+        decompose(pencil)
+        errors = [spectral_norm(seen[0] - np.linalg.solve(pencil.shifted(lam), pencil.E)) for lam in draws]
+        assert draws[int(np.argmin(errors))] == mu
 
     def test_nilpotency_invariant_under_equivalence(self):
         rng = np.random.default_rng(1)
