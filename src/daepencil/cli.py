@@ -32,6 +32,7 @@ from .phdae import PhPencil, _default_omega, dissipation_trace, verify_ph_struct
 from .serialize import (
     decomposition_to_dict,
     load_pencil,
+    matrix_from_json,
     ph_report_to_dict,
     save_json,
     save_pencil,
@@ -166,7 +167,10 @@ def _parse_x0(args, n: int) -> np.ndarray:
     elif args.x0_file is not None:
         with open(args.x0_file) as fh:
             data = json.load(fh)
-        vals = [complex(re, im) for re, im in data]
+        try:
+            vals = list(matrix_from_json([data])[0])
+        except ValueError:
+            raise ValueError(f"--x0-file {args.x0_file} must hold a list of [re, im] pairs of numbers") from None
     else:
         raise ValueError("simulate requires --x0 or --x0-file")
     if len(vals) != n:
@@ -266,20 +270,32 @@ def _cmd_example(args) -> int:
     return EXIT_OK
 
 
+def _option(sub, config: dict, flag: str, type_, default=None) -> None:
+    """Add ``flag``; its config value, when set, is parsed by ``type_`` as if given on the command line."""
+    key = flag[2:].replace("-", "_")
+    value = config.get(key)
+    if value is not None:
+        try:
+            default = type_(value if isinstance(value, str) else json.dumps(value))
+        except ValueError:
+            raise ValueError(f"config key '{key}' is {json.dumps(value)}, not {type_.__name__}") from None
+    sub.add_argument(flag, type=type_, default=default)
+
+
 def _add_common(sub, config):
-    sub.add_argument("--output-dir", default=config.get("output_dir", "."))
-    sub.add_argument("--seed", type=int, default=config.get("seed", 0))
+    _option(sub, config, "--output-dir", str, ".")
+    _option(sub, config, "--seed", int, 0)
 
 
 def _add_estimator_opts(sub, config):
-    sub.add_argument("--omega", type=float, default=config.get("omega"))
-    sub.add_argument("--lambda-span", type=float, default=config.get("lambda_span", 1e3))
-    sub.add_argument("--num-points", type=int, default=config.get("num_points", 64))
-    sub.add_argument("--num-lines", type=int, default=config.get("num_lines", 4))
-    sub.add_argument("--radiality-p", type=int, default=config.get("radiality_p"))
-    sub.add_argument("--box-radius", type=float, default=config.get("box_radius", 1e3))
-    sub.add_argument("--n-max", type=int, default=config.get("n_max", 3))
-    sub.add_argument("--num-samples", type=int, default=config.get("num_samples", 200))
+    _option(sub, config, "--omega", float)
+    _option(sub, config, "--lambda-span", float, 1e3)
+    _option(sub, config, "--num-points", int, 64)
+    _option(sub, config, "--num-lines", int, 4)
+    _option(sub, config, "--radiality-p", int)
+    _option(sub, config, "--box-radius", float, 1e3)
+    _option(sub, config, "--n-max", int, 3)
+    _option(sub, config, "--num-samples", int, 200)
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
@@ -302,7 +318,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         if needs_est:
             _add_estimator_opts(sub, config)
         elif name == "verify-ph":
-            sub.add_argument("--omega", type=float, default=config.get("omega"))
+            _option(sub, config, "--omega", float)
         sub.set_defaults(func=func)
 
     sim = subs.add_parser("simulate")
@@ -310,28 +326,22 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     _add_common(sim, config)
     sim.add_argument("--x0", help="comma-separated complex entries, e.g. '1, 0.5+2j'")
     sim.add_argument("--x0-file", help="JSON file with a list of [re, im] pairs")
-    sim.add_argument("--mu", type=float, default=config.get("mu"))
-    sim.add_argument("--omega", type=float, default=config.get("omega"))
-    sim.add_argument("--p", type=int, default=config.get("p"))
-    sim.add_argument("--quad-tol", type=float, default=config.get("quad_tol", 1e-8))
-    sim.add_argument("--t-final", type=float, default=config.get("t_final", 1.0))
-    sim.add_argument("--num-steps", type=int, default=config.get("num_steps", 100))
+    _option(sim, config, "--mu", float)
+    _option(sim, config, "--omega", float)
+    _option(sim, config, "--p", int)
+    _option(sim, config, "--quad-tol", float, 1e-8)
+    _option(sim, config, "--t-final", float, 1.0)
+    _option(sim, config, "--num-steps", int, 100)
     sim.set_defaults(func=_cmd_simulate)
 
     ex = subs.add_parser("example")
     ex.add_argument("model", choices=["nanorod", "l2", "zero-dyn"])
     _add_common(ex, config)
-    ex.add_argument("--n-grid", type=int, default=config.get("n_grid", 50))
-    ex.add_argument("--l", type=float, default=config.get("l", 1.0))
-    ex.add_argument("--rho", type=float, default=config.get("rho", 1.0))
-    ex.add_argument("--D", type=float, default=config.get("D", 1.0))
-    ex.add_argument("--C-mod", type=float, default=config.get("C_mod", 1.0))
-    ex.add_argument("--mu-nl", type=float, default=config.get("mu_nl", 1.0))
-    ex.add_argument("--tau-d", type=float, default=config.get("tau_d", 1.0))
-    ex.add_argument("--a2", type=float, default=config.get("a2", 1.0))
-    ex.add_argument("--b2", type=float, default=config.get("b2", 1.0))
-    ex.add_argument("--K", type=int, default=config.get("K", 40))
-    ex.add_argument("--m", type=int, default=config.get("m", 4))
+    _option(ex, config, "--n-grid", int, 50)
+    for flag in ("--l", "--rho", "--D", "--C-mod", "--mu-nl", "--tau-d", "--a2", "--b2"):
+        _option(ex, config, flag, float, 1.0)
+    _option(ex, config, "--K", int, 40)
+    _option(ex, config, "--m", int, 4)
     ex.set_defaults(func=_cmd_example)
     return parser
 
@@ -342,17 +352,16 @@ def main(argv: list[str] | None = None) -> int:
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     config: dict = {}
-    if known.config is not None:
-        try:
+    try:
+        if known.config is not None:
             with open(known.config) as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValueError("config file must contain a JSON object")
-        except (OSError, ValueError) as exc:
-            _emit_error("ConfigError", str(exc))
-            return EXIT_INPUT_ERROR
-
-    parser = build_parser(config)
+        parser = build_parser(config)
+    except (OSError, ValueError) as exc:
+        _emit_error("ConfigError", str(exc))
+        return EXIT_INPUT_ERROR
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -42,7 +42,7 @@ TAU_PSD = 1e-10
 TAU_DIS = 1e-10
 #: largest acceptable condition number for Q
 Q_COND_MAX = 1e12
-#: required ratio between retained and discarded eigenvalues in make_T
+#: required ratio between retained and discarded eigen- or singular values in make_T and make_S
 SPECTRAL_GAP = 1e3
 #: relative rank threshold for subspace comparisons
 RANK_TOL = 1e-10
@@ -134,6 +134,18 @@ def _numerical_rank(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
 
 
+def _gap_keep(values: np.ndarray, scale: float, split: str) -> np.ndarray:
+    """Mask of the values above RANK_TOL * scale.  Raises NoSpectralGap when some are kept and some
+    cut, and the smallest kept is below SPECTRAL_GAP times the largest cut, if that one is positive."""
+    keep = values > RANK_TOL * scale
+    if np.any(keep) and np.any(~keep):
+        kept, cut = float(np.min(values[keep])), float(np.max(values[~keep]))
+        if cut > 0.0 and kept < SPECTRAL_GAP * cut:
+            gap = f" is below the required gap factor {SPECTRAL_GAP:.0e}"
+            raise NoSpectralGap(split.format(kept, cut) + gap)
+    return keep
+
+
 def structural_residuals(ph: PhPencil) -> tuple[float, float, float, float, int]:
     """(symmetry residual, min PSD eigenvalue, max dissipativity eigenvalue,
     cond(Q), rank(E)) -- the raw numbers behind the pass/fail flags."""
@@ -172,15 +184,7 @@ def make_T(B: np.ndarray) -> tuple[np.ndarray, float]:
     if lam[0] < -1e-10 * scale:
         raise ValueError(f"B is not positive semidefinite (min eigenvalue {lam[0]:.3e})")
     lam = np.maximum(lam, 0.0)
-    keep = lam > RANK_TOL * scale
-    if np.any(keep) and np.any(~keep):
-        smallest_kept = float(np.min(lam[keep]))
-        largest_cut = float(np.max(lam[~keep]))
-        if largest_cut > 0.0 and smallest_kept < SPECTRAL_GAP * largest_cut:
-            raise NoSpectralGap(
-                f"eigenvalue split {smallest_kept:.3e} vs {largest_cut:.3e} is "
-                f"below the required gap factor {SPECTRAL_GAP:.0e}"
-            )
+    keep = _gap_keep(lam, scale, "eigenvalue split {:.3e} vs {:.3e}")
     diag = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 1.0)
     T = (U * diag) @ U.conj().T
     c = min(1.0, 1.0 / float(lam[-1])) if np.any(keep) else 1.0
@@ -199,12 +203,8 @@ def make_S(ph: PhPencil) -> tuple[np.ndarray, float]:
     """
     B = normalize(ph).E  # E Q^{-1}, Hermitian PSD for a pH triple
     U, sigma, Vh = np.linalg.svd(ph.E)
-    r = _numerical_rank(sigma)
-    if 0 < r < len(sigma) and sigma[r] > 0.0 and sigma[r - 1] < SPECTRAL_GAP * sigma[r]:
-        raise NoSpectralGap(
-            f"singular-value split {sigma[r - 1]:.3e} vs {sigma[r]:.3e} of E is "
-            f"below the required gap factor {SPECTRAL_GAP:.0e}"
-        )
+    keep = _gap_keep(sigma, np.max(sigma, initial=0.0), "singular-value split {:.3e} vs {:.3e} of E")
+    r = int(np.count_nonzero(keep))
     B_hat = U.conj().T @ B @ U
     inv_sig = 1.0 / sigma[:r]
     core = _hermitian_part((inv_sig[:, None] * B_hat[:r, :r]) * inv_sig[None, :])

@@ -43,9 +43,9 @@ def matrix_to_json(M: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix entries must be two-element [re, im] arrays")
+    arr = np.asarray(data)  # ragged nesting raises ValueError
+    if arr.dtype.kind not in "iuf" or arr.ndim != 3 or arr.shape[2] != 2:
+        raise ValueError("matrix entries must be two-element [re, im] arrays of numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -64,17 +64,18 @@ def pencil_from_dict(data: dict) -> MatrixPencil | PhPencil:
     for key in ("n", "E", "A"):
         if key not in data:
             raise ValueError(f"pencil object is missing key '{key}'")
-    n = int(data["n"])
-    E = matrix_from_json(data["E"])
-    A = matrix_from_json(data["A"])
-    if E.shape != (n, n) or A.shape != (n, n):
-        raise ValueError(f"matrix shapes {E.shape}, {A.shape} do not match n = {n}")
-    if "Q" in data:
-        Q = matrix_from_json(data["Q"])
-        if Q.shape != (n, n):
-            raise ValueError(f"Q shape {Q.shape} does not match n = {n}")
-        return PhPencil(E, A, Q)
-    return MatrixPencil(E, A)
+    n = data["n"]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"pencil key 'n' is {json.dumps(n)}, not a non-negative integer")
+    mats = []
+    for key in ("E", "A", "Q")[: 2 + ("Q" in data)]:
+        try:
+            mats.append(matrix_from_json(data[key]))
+        except ValueError as exc:
+            raise ValueError(f"pencil key '{key}': {exc}") from None
+        if mats[-1].shape != (n, n):
+            raise ValueError(f"{key} shape {mats[-1].shape} does not match n = {n}")
+    return PhPencil(*mats) if len(mats) == 3 else MatrixPencil(*mats)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -205,75 +205,60 @@ def _kernel_flag_basis(N: np.ndarray) -> tuple[np.ndarray, int]:
 def _decompose_at(pencil: MatrixPencil, ran_r: np.ndarray, ker_r: np.ndarray) -> WeierstrassDecomposition:
     """The block form from the right split (ran_r, ker_r) of R(mu)'s settled power.
 
-    T_R = [ran_r, ker_r] (I when one block is empty) fixes T_L = [E T_R1, A T_R2]^{-1}: E maps the
-    finite right deflating subspace, and A the infinite one, onto the matching left subspaces.
+    T_R = [ran_r, ker_r] fixes T_L = M^{-1}, M = [E T_R1, A T_R2]: E maps the finite right deflating
+    subspace, and A the infinite one, onto the matching left subspaces.  N's unitary kernel flag W
+    rotates only the infinite blocks, so cond(M) and cond(T_R) are checked before any inverse, and
+    T_L^{-1} = [E T_R1, A T_R2 W] gives R from its first block.
     """
-    E, A, n = pencil.E, pencil.A, pencil.n
+    E, A = pencil.E, pencil.A
     d1, d2 = ran_r.shape[1], ker_r.shape[1]
     T_R = np.hstack([ran_r, ker_r])
-    T_L = np.linalg.inv(np.hstack([E @ T_R[:, :d1], A @ T_R[:, d1:]]))
-    A1 = T_L[:d1] @ A @ T_R[:, :d1]
-    N = T_L[d1:] @ E @ T_R[:, d1:]
+    M = np.hstack([E @ ran_r, A @ ker_r])
+    cond_L, cond_R = np.linalg.cond(M), np.linalg.cond(T_R)
+    if not max(cond_L, cond_R) <= _COND_LIMIT:
+        cond = f"{max(cond_L, cond_R):.3e} > 1e12 (T_L {cond_L:.3e}, T_R {cond_R:.3e})"
+        raise IllConditionedTransform(f"equivalence transformations have condition {cond}")
+    T_L = np.linalg.inv(M)
+    A1 = T_L[:d1] @ A @ ran_r
+    N = T_L[d1:] @ E @ ker_r
 
     k = 0
     if d2 > 0:
         # rotate the infinite block so N is strictly upper triangular
         W, k = _kernel_flag_basis(N)
         N = np.triu(W.conj().T @ N @ W, 1)
-        rot = scipy.linalg.block_diag(np.eye(d1), W)
-        T_R = T_R @ rot
-        T_L = rot.conj().T @ T_L
+        T_R[:, d1:] = ker_r @ W
+        T_L[d1:] = W.conj().T @ T_L[d1:]
 
-    cond = max(np.linalg.cond(T_L), np.linalg.cond(T_R))
-    if not cond <= _COND_LIMIT:
-        raise IllConditionedTransform(f"equivalence transformations have condition {cond:.3e} > 1e12")
-
-    T_R_inv = np.linalg.inv(T_R)
-    T_L_inv = np.linalg.inv(T_L)
-    sel = np.zeros((n, n))
-    sel[:d1, :d1] = np.eye(d1)
-    P = T_R @ sel @ T_R_inv
-    R = T_L_inv @ sel @ T_L
+    P = ran_r @ np.linalg.inv(T_R)[:d1]
+    R = M[:, :d1] @ T_L[:d1]
     return WeierstrassDecomposition(
         T_L=T_L, T_R=T_R, A1=A1, N=N, d1=d1, d2=d2, P=P, R=R, nilpotency_index=k
     )
 
 
 def reconstruct(decomp: WeierstrassDecomposition) -> MatrixPencil:
-    """Map the block form back: (T_L^-1 blkdiag(I,N) T_R^-1, T_L^-1 blkdiag(A1,I) T_R^-1)."""
-    d1, d2 = decomp.d1, decomp.d2
-    Eb = scipy.linalg.block_diag(np.eye(d1), decomp.N)
-    Ab = scipy.linalg.block_diag(decomp.A1, np.eye(d2))
-    T_L_inv = np.linalg.inv(decomp.T_L)
-    T_R_inv = np.linalg.inv(decomp.T_R)
-    return MatrixPencil(T_L_inv @ Eb @ T_R_inv, T_L_inv @ Ab @ T_R_inv)
+    """Map the block form back: (T_L^-1 blkdiag(I,N) T_R^-1, T_L^-1 blkdiag(A1,I) T_R^-1), by blocks."""
+    d1, T_L_inv, T_R_inv = decomp.d1, np.linalg.inv(decomp.T_L), np.linalg.inv(decomp.T_R)
+    L1, L2, R1, R2 = T_L_inv[:, :d1], T_L_inv[:, d1:], T_R_inv[:d1], T_R_inv[d1:]
+    return MatrixPencil(L1 @ R1 + L2 @ decomp.N @ R2, L1 @ decomp.A1 @ R1 + L2 @ R2)
 
 
-def spectral_projectors(
-    pencil: MatrixPencil,
-    p: int,
-    lambda_sequence=None,
-    tol: float = 1e-8,
-):
+def spectral_projectors(pencil: MatrixPencil, p: int, tol: float = 1e-8):
     """Limit projectors P, R from powers of the scaled pseudo-resolvents.
 
     P = lim (lambda (lambda E - A)^{-1} E)^{p+1} and
-    R = lim (lambda E (lambda E - A)^{-1})^{p+1}, approximated on a geometric
-    shift sequence with one Richardson extrapolation level.  Raises
-    NoConvergence when the extrapolated approximants are not Cauchy.
+    R = lim (lambda E (lambda E - A)^{-1})^{p+1}, approximated on 12 geometric
+    shifts, each factorised once, with one Richardson extrapolation level.
+    Raises NoConvergence when the extrapolated approximants are not Cauchy.
     """
     E, A = pencil.E, pencil.A
-    if lambda_sequence is None:
-        lam0 = 10.0 * (1.0 + spectral_norm(A) / max(spectral_norm(E), 1e-300))
-        lambda_sequence = lam0 * 2.0 ** np.arange(12)
-    lams = np.asarray(lambda_sequence, dtype=float)
-    if lams.ndim != 1 or len(lams) < 3 or np.any(np.diff(lams) <= 0):
-        raise ValueError("lambda_sequence must be increasing with at least 3 entries")
-
+    lam0 = 10.0 * (1.0 + spectral_norm(A) / max(spectral_norm(E), 1e-300))
     Ps, Rs = [], []
-    for lam in lams:
-        right = np.linalg.solve(pencil.shifted(lam), E)
-        left = E @ np.linalg.inv(pencil.shifted(lam))
+    for lam in lam0 * 2.0 ** np.arange(12):
+        lu = scipy.linalg.lu_factor(pencil.shifted(lam))
+        right = scipy.linalg.lu_solve(lu, E)
+        left = scipy.linalg.lu_solve(lu, E.T, trans=1).T
         Ps.append(np.linalg.matrix_power(lam * right, p + 1))
         Rs.append(np.linalg.matrix_power(lam * left, p + 1))
 

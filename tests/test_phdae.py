@@ -21,11 +21,15 @@ from daepencil import (
     spectral_norm,
     verify_ph_structure,
 )
-from daepencil.errors import SingularQ
+from daepencil.errors import NoSpectralGap, SingularQ
 
 
 def _trivial_ph(n=2):
     return PhPencil(np.eye(n), -np.eye(n), np.eye(n))
+
+
+#: 5e-9 is kept above RANK_TOL = 1e-10 and 1e-11 cut, but only 500 times apart, not SPECTRAL_GAP = 1e3
+_NO_GAP = np.diag([1.0, 5e-9, 1e-11])
 
 
 class TestPhPencil:
@@ -147,6 +151,11 @@ class TestMakeT:
                 assert c * nx2 <= quad * (1.0 + 1e-10)
                 assert quad <= tnorm * nx2 * (1.0 + 1e-10)
 
+    def test_no_spectral_gap(self):
+        with pytest.raises(NoSpectralGap, match=r"^eigenvalue split 5\.000e-09 vs 1\.000e-11 is below the required "
+                           r"gap factor 1e\+03$"):
+            make_T(_NO_GAP)
+
 
 class TestMakeS:
     def test_identity(self):
@@ -158,6 +167,19 @@ class TestMakeS:
         S, c = make_S(ph)
         assert np.allclose(S, np.diag([0.5, 1.0]))
         assert c == pytest.approx(0.5)
+
+    def test_no_spectral_gap(self):
+        with pytest.raises(NoSpectralGap, match=r"^singular-value split 5\.000e-09 vs 1\.000e-11 of E is below "
+                           r"the required gap factor 1e\+03$"):
+            make_S(PhPencil(_NO_GAP, -np.eye(3), np.eye(3)))
+
+    def test_verify_reports_both_gap_failures(self):
+        failures = verify_ph_structure(PhPencil(_NO_GAP, -np.eye(3), np.eye(3))).failures
+        assert "make_T: eigenvalue split 5.000e-09 vs 1.000e-11 is below the required gap factor 1e+03" in failures
+        assert (
+            "make_S: singular-value split 5.000e-09 vs 1.000e-11 of E is below the required gap factor 1e+03"
+            in failures
+        )
 
     def test_identity_residual_randomized(self):
         for seed in range(5):

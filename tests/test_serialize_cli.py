@@ -294,6 +294,35 @@ class TestCliPipeline:
         open(bad, "w").write("{not json")
         assert main(["decompose", bad, "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("n_not_int", {"n": [2], "E": [[[1, 0]]], "A": [[[1, 0]]]}, "pencil key 'n' is [2]"),
+            ("E_not_array", {"n": 1, "E": {"x": 1}, "A": [[[1, 0]]]}, "pencil key 'E': matrix entries"),
+        ],
+    )
+    def test_malformed_pencil_exit_2(self, tmp_path, capsys, name, data, message):
+        bad = str(tmp_path / f"{name}.json")
+        json.dump(data, open(bad, "w"))
+        assert main(["decompose", bad, "--output-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and err["message"].startswith(message)
+
+    def test_x0_file_of_strings_exit_2(self, tmp_path, capsys, scalar_pencil_file):
+        x0_file = str(tmp_path / "x0.json")
+        json.dump([["1", "0"]], open(x0_file, "w"))
+        assert main(["simulate", scalar_pencil_file, "--x0-file", x0_file, "--output-dir", str(tmp_path)]) == 2
+        assert "must hold a list of [re, im] pairs of numbers" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("value, shown", [([1], "[1]"), (64.5, "64.5")])
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, scalar_pencil_file, value, shown):
+        # argparse applies an option's type only to string defaults; the config values get it too
+        cfg = str(tmp_path / "cfg.json")
+        json.dump({"num_points": value}, open(cfg, "w"))
+        assert main(["--config", cfg, "indices", scalar_pencil_file, "--output-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": f"config key 'num_points' is {shown}, not int"}
+
     def test_wrong_x0_length_exit_2(self, tmp_path, scalar_pencil_file):
         code = main(["simulate", scalar_pencil_file, "--x0", "1,2", "--output-dir", str(tmp_path)])
         assert code == 2

@@ -217,6 +217,29 @@ class TestDecompose:
         assert (d.d1, d.nilpotency_index) == (20, 3)
         assert calls.count(((23, 23), True)) == 1
 
+    def test_four_inverses_and_no_block_diag_per_call(self, monkeypatch):
+        # T_L = [E T_R1, A T_R2]^{-1} and T_R^{-1} for P, then reconstruct's own two; T_L^{-1} is
+        # [E T_R1, A T_R2 W], and the kernel flag rotates the infinite blocks in place
+        p, calls, inv = random_regular_pencil(np.random.default_rng(3), 3, 2), [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        monkeypatch.setattr(scipy.linalg, "block_diag", lambda *a: pytest.fail("block_diag called"))
+        d = decompose(p)
+        assert (d.d1, d.nilpotency_index) == (3, 2)
+        assert calls == [(5, 5)] * 4
+
+    def test_condition_refusal_inverts_nothing(self, monkeypatch):
+        # a stress-table pencil whose split reads d1 = n: M = E is singular, which cond(M) shows
+        # before any inverse, and the message names the condition of both transforms
+        calls, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        p = random_regular_pencil(np.random.default_rng([10, 0, 8]), 0, 8, stable=False, cond_max=10.0)
+        with pytest.raises(IllConditionedTransform) as info:
+            decompose(p)
+        found = re.search(r"equivalence transformations have condition (\S+) > 1e12 \(T_L (\S+), T_R (\S+)\)$",
+                          str(info.value))
+        assert found and float(found[1]) == max(float(found[2]), float(found[3])) > 1e12
+        assert calls == []
+
     @pytest.mark.parametrize(
         "pencil",
         [
@@ -295,6 +318,16 @@ class TestSpectralProjectors:
             P, R = spectral_projectors(p, p=max(d.nilpotency_index - 1, 0), tol=1e-4)
             assert spectral_norm(P - d.P) <= 1e-5
             assert spectral_norm(R - d.R) <= 1e-5
+
+    def test_one_lu_per_shift(self, monkeypatch):
+        # both pseudo-resolvents of a shift come from its one LU, the left one by a transposed solve
+        calls, lu_factor = [], scipy.linalg.lu_factor
+        monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, *args: calls.append(a.shape) or lu_factor(a, *args))
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name: pytest.fail(f"np.linalg.{name} called"))
+        P, R = spectral_projectors(MatrixPencil(np.diag([1.0, 0.0]), -np.eye(2)), p=0)
+        assert np.allclose(P, np.diag([1.0, 0.0]), atol=1e-7) and np.allclose(R, P, atol=1e-7)
+        assert calls == [(2, 2)] * 12
 
     def test_strict_tolerance_unreachable_for_higher_index(self):
         # documents the rounding floor: at the default 1e-8 Cauchy tolerance
