@@ -49,7 +49,7 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-#: Golub-Kahan-Lanczos steps after which ``resolvent_norms`` falls back to the SVD
+#: Golub-Kahan-Lanczos steps after which a column is not settled, and its caller falls back to an SVD
 LANCZOS_STEPS = 30
 
 
@@ -168,48 +168,53 @@ def _orthonormalise(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.nd
     """Each column of x (n, m) made orthogonal to basis[:, :, column], twice, then normalised."""
     for _ in range(2):
         x = x - np.einsum("jim,jm->im", basis, np.einsum("jim,im->jm", basis, x.conj()).conj())
-    return x / np.linalg.norm(x, axis=0), np.linalg.norm(x, axis=0)
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0, initial=0.0))[1])  # a power of 2, so exact
+    norm = np.linalg.norm(x / scale, axis=0) * scale  # without over- or underflow
+    return x / norm, norm
+
+
+def _golub_kahan(apply, adjoint, start: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(top Ritz value, steps, settled) of m operators by fully reorthogonalised Golub-Kahan-Lanczos in lockstep
+    from ``start`` (n,), ``apply`` and ``adjoint`` taking column i of (n, m) by operator i: settled when the Ritz
+    value moves <= 1e-14 relative in a step or the Krylov space is invariant, within min(n, LANCZOS_STEPS)."""
+    n, k = len(start), min(len(start), LANCZOS_STEPS)
+    U, V = np.zeros((k, n, m), dtype=start.dtype), np.zeros((k + 1, n, m), dtype=start.dtype)
+    V[0], bidiag, beta = start[:, None] / np.linalg.norm(start), np.zeros((m, k, k)), 0.0
+    sigma, steps, ok = np.zeros(m), np.zeros(m, dtype=int), np.ones(m, dtype=bool)
+    for j in range(k):
+        with np.errstate(all="ignore"):  # a zero pivot or an overflow leaves its column not settled
+            U[j], alpha = _orthonormalise(apply(V[j]) - beta * U[j - 1], U[:j])
+            bidiag[:, j - 1, j], bidiag[:, j, j] = beta, alpha  # U[-1] is still 0 at j = 0
+            V[j + 1], beta = _orthonormalise(adjoint(U[j]) - alpha * V[j], V[: j + 1])
+        ok &= np.isfinite(alpha)
+        live = np.flatnonzero(ok & (steps == 0))  # Ritz values only where they can still change
+        old, sigma[live] = sigma[live], np.linalg.norm(bidiag[live, : j + 1, : j + 1], 2, (1, 2))
+        invariant = (j + 1 == n) | (alpha[live] == 0) | (beta[live] == 0)
+        steps[live[(abs(sigma[live] - old) <= 1e-14 * sigma[live]) | invariant]] = j + 1
+        if steps.all():
+            break
+    return sigma, np.where(steps > 0, steps, k), steps > 0
 
 
 def resolvent_norms(pencil: MatrixPencil, lams) -> tuple[list[ResolventSample], int, int]:
-    """(``resolvent_norm`` at each shift in ``lams``, most Lanczos steps, SVD fallbacks), from
-    Golub-Kahan-Lanczos on (lambda*S - T)^{-1} of the QZ form, 64 shifts in lockstep, with full
-    reorthogonalisation.  A shift is done when its Ritz value moves <= 1e-14 relative in a step or
-    its basis spans C^n; ||M||_F / sqrt(n) <= sigma_max(M) <= ||M||_F for M = lambda*S - T decides
-    kappa <= kappa_max(n).  A shift not done in min(n, LANCZOS_STEPS) steps, e.g. at a zero pivot,
-    or whose bracket straddles the threshold gets ``resolvent_norm``'s SVD."""
+    """(``resolvent_norm`` at each shift in ``lams``, most Lanczos steps, SVD fallbacks), from ``_golub_kahan`` on
+    (lambda*S - T)^{-1} of the QZ form by back-substitution, 64 shifts a run.  ||M||_F / sqrt(n) <= sigma_max(M)
+    <= ||M||_F, M = lambda*S - T, decides kappa <= kappa_max(n); an unsettled or straddling shift gets the SVD."""
     S, T = pencil.qz[:2]
     Sa, Ta = (np.ascontiguousarray(M.conj().T[::-1, ::-1]) for M in (S, T))  # adjoint, upper triangular
     n, lams, rng = pencil.n, np.asarray(lams, dtype=complex).ravel(), np.random.default_rng(0)
-    k = min(n, LANCZOS_STEPS)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    sigma, settled = np.zeros(len(lams)), np.zeros(len(lams), dtype=int)
-    for c in (slice(lo, lo + 64) for lo in range(0, len(lams), 64)):  # the basis stays O(k n 64)
-        z, sig, done = lams[c], sigma[c], settled[c]  # views: results land in sigma and settled
-        U, V = np.zeros((k, n, len(z)), dtype=complex), np.zeros((k + 1, n, len(z)), dtype=complex)
-        V[0], bidiag, beta = start[:, None] / np.linalg.norm(start), np.zeros((len(z), k, k)), 0.0
-        ok = np.ones(len(z), dtype=bool)
-        for j in range(k):
-            with np.errstate(all="ignore"):  # a zero pivot or an overflow leaves its shift not done
-                U[j], alpha = _orthonormalise(_back_substitute(S, T, z, V[j]) - beta * U[j - 1], U[:j])
-                bidiag[:, j - 1, j], bidiag[:, j, j] = beta, alpha  # U[-1] is still 0 at j = 0
-                w = _back_substitute(Sa, Ta, z.conj(), U[j][::-1])[::-1] - alpha * V[j]
-                V[j + 1], beta = _orthonormalise(w, V[: j + 1])
-            ok &= np.isfinite(alpha)
-            ritz = np.linalg.norm(np.where(ok[:, None, None], bidiag[:, : j + 1, : j + 1], 0), 2, (1, 2))
-            live = done == 0
-            done[live & ok & ((abs(ritz - sig) <= 1e-14 * ritz) | (j + 1 == n))] = j + 1
-            sig[live] = ritz[live]
-            if done.all():
-                break
+    sigma, steps, settled = (np.concatenate(column) for column in zip(*[  # the basis stays O(k n 64)
+        _golub_kahan(lambda V, z=z: _back_substitute(S, T, z, V),
+                     lambda U, z=z: _back_substitute(Sa, Ta, z.conj(), U[::-1])[::-1], start, len(z))
+        for z in np.split(lams, range(64, len(lams), 64))]))
     fro2 = abs(lams) ** 2 * np.vdot(S, S).real - 2 * (lams * np.vdot(T, S)).real + np.vdot(T, T).real
     kappa, kmax = np.sqrt(np.maximum(fro2, 0.0)) * sigma, kappa_max(n)  # ||M||_F ||M^{-1}||
-    decided = (settled > 0) & ((kappa <= kmax) | (kappa > np.sqrt(n) * kmax))
-    out = [
+    decided = settled & ((kappa <= kmax) | (kappa > np.sqrt(n) * kmax))
+    return [
         ResolventSample(lam, float(s), bool(kap <= kmax)) if known else resolvent_norm(pencil, lam)
         for lam, s, kap, known in zip(lams.tolist(), sigma, kappa, decided)
-    ]
-    return out, int(np.where(settled > 0, settled, k).max(initial=0)), int(np.count_nonzero(~decided))
+    ], int(steps.max(initial=0)), int(np.count_nonzero(~decided))
 
 
 def right_pseudo_resolvent(pencil: MatrixPencil, lam: complex) -> np.ndarray:

@@ -5,7 +5,7 @@ The real (complex) resolvent index is the smallest integer p such that
 half-plane).  We estimate it by fitting the log-log growth of sampled
 resolvent norms; the radiality bound is probed by sampling pseudo-resolvent
 products at real shifts, one explicit inverse per shift of the QZ form in the
-pencil's dtype, and their norms from the top eigenvalue of a Gram matrix.
+pencil's dtype, and their norms by Golub-Kahan-Lanczos on a stack of products in lockstep.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from functools import reduce
 from math import factorial
 
 import numpy as np
-from scipy.linalg import eigh, get_lapack_funcs, lu_factor, qz
+from scipy.linalg import get_lapack_funcs, lu_factor, qz
 
-from .core import MatrixPencil, ResolventSample, resolvent_apply, resolvent_norms
+from .core import MatrixPencil, ResolventSample, _golub_kahan, resolvent_apply, resolvent_norms, spectral_norm
 from .errors import ShiftOutsideResolventSet
 from .solver import QuadratureConfig, bromwich_integral
 
@@ -69,21 +69,12 @@ class RadialityEvidence:
     max_ratio: float
     max_ratio_wide: float
     verdict: str  # "supported" | "falsified"
-
-    @property
-    def empirical_constant(self) -> float:
-        return self.max_ratio
+    lanczos_steps: int  # most steps any product took, over both boxes
+    svd_fallbacks: int
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "omega": self.omega,
-            "n_max": self.n_max,
-            "num_samples": self.num_samples,
-            "C": self.max_ratio,
-            "max_ratio_wide": self.max_ratio_wide,
-            "verdict": self.verdict,
-        }
+        keys = "p omega n_max num_samples max_ratio_wide verdict lanczos_steps svd_fallbacks"
+        return {"C": self.max_ratio, **{key: getattr(self, key) for key in keys.split()}}
 
 
 def _require_above(**bounds: tuple[float, float]) -> None:
@@ -173,26 +164,19 @@ def _radiality_form(pencil: MatrixPencil) -> tuple[np.ndarray, np.ndarray]:
     return S, T
 
 
-def _sigma_max(M: np.ndarray) -> float:
-    """s * sqrt(top eigenvalue of (M/s)^H (M/s)), s = max |M_ij| (no over- or underflow): sigma_max(M)
-    to relative O(n eps), as squaring costs accuracy only for the small singular values."""
-    scale = float(np.max(np.abs(M))) or 1.0  # 1 for the zero matrix, whose Gram matrix is then 0
-    M = M / scale
-    top = eigh(M.conj().T @ M, eigvals_only=True, subset_by_index=[M.shape[1] - 1] * 2, driver="evr")[0]
-    return scale * float(np.sqrt(top))
-
-
 def _max_radiality_ratio(
     S: np.ndarray, T: np.ndarray, p: int, omega: float, box_radius: float, n_max: int,
     num_samples: int, rng: np.random.Generator,
-) -> float:
+) -> tuple[float, int, int]:
     # With (S, T) = _radiality_form(pencil), the inverse X = (x S - T)^{-1} at each shift x (LAPACK
     # getri on one LU) gives (I + X T) / x = (x S - T)^{-1} S and (I + T X) / x = S (x S - T)^{-1} by
     # matrix products: the exact I keeps large x accurate, and unlike x E - A, index-3 products too.
     getri, getri_lwork = get_lapack_funcs(("getri", "getri_lwork"), (S, T))
     lwork = int(getri_lwork(len(S))[0].real)
-    eye, worst = np.eye(len(S)), 0.0
-    for _ in range(num_samples):
+    eye, worst, steps, fallbacks = np.eye(len(S)), 0.0, 0, 0
+    chunk = max(1, 2**22 // S.nbytes)  # samples whose 2 products fill a stack of at most about 8 MB
+    stack, weights = np.empty((2 * chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
+    for sample in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
         n = int(rng.integers(1, n_max + 1))
         lus = [lu_factor(x * S - T, check_finite=False) for x in lams]
@@ -203,12 +187,21 @@ def _max_radiality_ratio(
             raise ShiftOutsideResolventSet(f"getri infos {[i for _, i in inverses]} at {lams.tolist()}")
         right = reduce(np.matmul, [(eye + X @ T) / x for (X, _), x in zip(inverses, lams)])
         left = reduce(np.matmul, [(eye + T @ X) / x for (X, _), x in zip(inverses, lams)])
-        powers = [np.linalg.matrix_power(M, n) for M in (right, left)]
-        if not all(np.isfinite(M).all() for M in powers):
+        i = sample % chunk
+        stack[2 * i], stack[2 * i + 1] = (np.linalg.matrix_power(M, n) for M in (right, left))
+        if not np.isfinite(stack[2 * i : 2 * i + 2]).all():
             raise ShiftOutsideResolventSet(f"radiality product at shifts {lams.tolist()} is not finite")
-        weight = float(np.prod(np.abs(lams - omega)) ** n)
-        worst = max(worst, max(map(_sigma_max, powers)) * weight)
-    return worst
+        weights[i] = float(np.prod(np.abs(lams - omega)) ** n)
+        if i + 1 == chunk or sample + 1 == num_samples:  # the stack's norms by batched GEMVs
+            M = stack[: 2 * i + 2]
+            sigma, most, settled = _golub_kahan(
+                lambda V: np.matmul(M, V.T[:, :, None])[..., 0].T,
+                lambda U: np.matmul(M.transpose(0, 2, 1), U.T.conj()[:, :, None])[..., 0].T.conj(),  # M^H U
+                np.random.default_rng(0).standard_normal(len(S)).astype(S.dtype), len(M))
+            sigma[~settled] = [spectral_norm(X) for X in M[~settled]]
+            worst = max(worst, float(np.max(sigma.reshape(-1, 2).max(axis=1) * weights[: i + 1])))
+            steps, fallbacks = max(steps, int(most.max())), fallbacks + int(np.count_nonzero(~settled))
+    return worst, steps, fallbacks
 
 
 def verify_radiality(
@@ -238,13 +231,12 @@ def verify_radiality(
     _require_above(p=(-1, p), n_max=(0, n_max), num_samples=(0, num_samples),
                    omega=(-np.inf, omega), box_radius=(0.0, box_radius))
     rng, (S, T) = np.random.default_rng(seed), _radiality_form(pencil)
-    ratio = _max_radiality_ratio(S, T, p, omega, box_radius, n_max, num_samples, rng)
-    ratio_wide = _max_radiality_ratio(S, T, p, omega, 10.0 * box_radius, n_max, num_samples, rng)
-    falsified = ratio_wide > DIVERGENCE_FACTOR * ratio
+    (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = (  # the box, then ten times it
+        _max_radiality_ratio(S, T, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
     return RadialityEvidence(
-        p=p, omega=omega, n_max=n_max, num_samples=num_samples,
-        max_ratio=ratio, max_ratio_wide=ratio_wide,
-        verdict="falsified" if falsified else "supported",
+        p=p, omega=omega, n_max=n_max, num_samples=num_samples, max_ratio=ratio, max_ratio_wide=ratio_wide,
+        verdict="falsified" if ratio_wide > DIVERGENCE_FACTOR * ratio else "supported",
+        lanczos_steps=max(steps, steps_wide), svd_fallbacks=fallbacks + fallbacks_wide,
     )
 
 
@@ -259,7 +251,7 @@ def index_relations_check(decomp, real_estimate: GrowthEstimate, radiality: Radi
     p_nilp = decomp.nilpotency_index
     p_res = real_estimate.index
     p_rad = radiality.p if radiality.verdict == "supported" else None
-    report = {
+    return {
         "p_nilp": p_nilp,
         "p_res": p_res,
         "p_rad": p_rad,
@@ -267,7 +259,6 @@ def index_relations_check(decomp, real_estimate: GrowthEstimate, radiality: Radi
         "nilp_le_rad_plus_1": p_rad is not None and p_nilp <= p_rad + 1,
         "res_eq_nilp": p_res == p_nilp,
     }
-    return report
 
 
 def integrated_semigroup_order(p_c_res: int) -> int:

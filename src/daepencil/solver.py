@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import MatrixPencil, resolvent_apply, resolvent_norm, right_pseudo_resolvent
+from .core import MatrixPencil, resolvent_apply, resolvent_norms, right_pseudo_resolvent
 from .errors import (
     InconsistentInitialState,
     OverflowRisk,
@@ -222,7 +222,7 @@ def contour_solve(
     J = int(np.cumprod(held).sum())
     J = J if J >= config.p - 1 else 0
     z0, p = chain[J], config.p + J
-    if not resolvent_norm(pencil, complex(omega, 0.0)).in_resolvent_set:
+    if not resolvent_norms(pencil, [omega])[0][0].in_resolvent_set:  # on the QZ form the integrand uses
         raise ShiftOutsideResolventSet(f"abscissa omega = {omega} is not in the resolvent set")
 
     def integrand(lams: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daepencil import (
+    L2ExampleParams,
     MatrixPencil,
     NanorodParams,
+    build_l2_example,
     build_nanorod,
     build_zero_dynamics,
     decompose,
@@ -22,10 +24,11 @@ from daepencil import (
     integrated_semigroup_sample,
     verify_radiality,
 )
-from daepencil import indices
+from daepencil import core, indices
 from daepencil.cli import main
+from daepencil.core import _golub_kahan
 from daepencil.errors import ShiftOutsideResolventSet
-from daepencil.indices import _max_radiality_ratio, _radiality_form, _sigma_max
+from daepencil.indices import _max_radiality_ratio, _radiality_form
 
 N2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -66,7 +69,7 @@ class TestRadiality:
     def test_scalar_contraction_supported(self):
         ev = verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, omega=1e-6, box_radius=10.0)
         assert ev.verdict == "supported"
-        assert ev.empirical_constant == pytest.approx(1.0, abs=0.1)
+        assert ev.max_ratio == pytest.approx(1.0, abs=0.1)
 
     def test_zero_dynamics_orders(self):
         model = build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0])
@@ -165,20 +168,43 @@ def _block_radiality_ratio(blocks, p, omega, box_radius, n_max, num_samples, rng
 
 class TestRadialityRatio:
     @pytest.mark.parametrize(
-        "pencil, p",
+        "pencil, p, rel",
         [
-            (build_nanorod(NanorodParams(n_grid=4)).pencil, 1),
-            (build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil, 0),
-            (MatrixPencil(scipy.linalg.block_diag(np.eye(3), N2), scipy.linalg.block_diag(-np.eye(3), np.eye(2))), 2),
+            (build_nanorod(NanorodParams(n_grid=4)).pencil, 1, 1e-10),
+            (build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil, 0, 1e-10),
+            (MatrixPencil(scipy.linalg.block_diag(np.eye(3), N2), scipy.linalg.block_diag(-np.eye(3), np.eye(2))), 2, 1e-10),
+            # n > LANCZOS_STEPS: the Krylov space does not span C^n, so the stop rule decides
+            (build_nanorod(NanorodParams(n_grid=10)).pencil, 1, 1e-12),
+            (build_l2_example(L2ExampleParams(K=40)), 1, 1e-12),
         ],
-        ids=["nanorod", "zero-dyn", "nilpotent"],
+        ids=["nanorod", "zero-dyn", "nilpotent", "nanorod-n50", "l2-n84"],
     )
     @pytest.mark.parametrize("box_radius", [10.0, 1e3])
-    def test_matches_dense_reference(self, pencil, p, box_radius):
+    def test_matches_dense_reference(self, pencil, p, rel, box_radius):
         args = (p, 0.5, box_radius, 3, 40)
-        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
+        fast, steps, fallbacks = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
         ref = _dense_radiality_ratio(pencil, *args, np.random.default_rng(7))
-        assert fast == pytest.approx(ref, rel=1e-10)
+        assert fast == pytest.approx(ref, rel=rel)
+        assert fallbacks == 0 and 1 <= steps <= min(pencil.n, 30)
+
+    def test_several_stacks_match_dense_reference(self):
+        # at n = 84 a stack of at most about 8 MB holds the products of 74 samples: 150 samples are
+        # three Lanczos runs, the last one on the products of 2 samples
+        pencil = build_l2_example(L2ExampleParams(K=40))
+        args = (1, 0.5, 1e3, 3, 150)
+        fast, _, fallbacks = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
+        assert fallbacks == 0
+        assert fast == pytest.approx(_dense_radiality_ratio(pencil, *args, np.random.default_rng(7)), rel=1e-12)
+
+    def test_step_cap_falls_back_to_svd(self, monkeypatch):
+        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
+        lanczos = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, num_samples=10)
+        monkeypatch.setattr(core, "LANCZOS_STEPS", 2)
+        capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, num_samples=10)
+        assert (lanczos.lanczos_steps, lanczos.svd_fallbacks) == (8, 0)
+        assert (capped.lanczos_steps, capped.svd_fallbacks) == (2, 40)  # 2 products, 10 samples, 2 boxes
+        assert capped.max_ratio == pytest.approx(lanczos.max_ratio, rel=1e-13)
+        assert capped.max_ratio_wide == pytest.approx(lanczos.max_ratio_wide, rel=1e-13)
 
     @pytest.mark.parametrize("d2", [2, 3])
     @pytest.mark.parametrize("box_radius, rel", [(10.0, 1e-10), (1e3, 1e-8)])
@@ -189,7 +215,7 @@ class TestRadialityRatio:
         blocks = random_weierstrass_blocks(np.random.default_rng(1), 4, d2)
         pencil = random_regular_pencil(np.random.default_rng(1), 4, d2)
         args = (d2 - 1, 0.5, box_radius, 3, 40)
-        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
+        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))[0]
         ref = _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
 
@@ -215,7 +241,8 @@ class TestRadialityRatio:
 
     def test_one_lu_and_one_inverse_per_shift(self, monkeypatch):
         # the design: per shift one lu_factor and one getri on it, then only matrix products and
-        # symmetric eigensolves; no triangular solves with n right-hand sides and no SVD
+        # Lanczos on the stacked products; no triangular solves with n right-hand sides, no SVD
+        # and no symmetric eigensolve
         counts = {"lu_factor": 0, "getri": 0}
 
         def counting_lu_factor(M, **kwargs):
@@ -237,12 +264,13 @@ class TestRadialityRatio:
         monkeypatch.setattr(indices, "lu_factor", counting_lu_factor)
         monkeypatch.setattr(indices, "get_lapack_funcs", counting_get_lapack_funcs)
         for module, name in [(scipy.linalg, "lu_solve"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
-                             (np.linalg, "svd"), (np.linalg, "norm"), (indices, "resolvent_norms")]:
+                             (np.linalg, "svd"), (scipy.linalg, "eigh"), (np.linalg, "eigh"),
+                             (indices, "resolvent_norms")]:
             monkeypatch.setattr(module, name, forbidden)
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
         _max_radiality_ratio(*_radiality_form(pencil), 1, 0.5, 10.0, 3, 7, np.random.default_rng(7))
         assert counts == {"lu_factor": 14, "getri": 14}
-        assert not hasattr(indices, "lu_solve")
+        assert not hasattr(indices, "lu_solve") and not hasattr(indices, "eigh")
 
     @pytest.mark.parametrize("box_radius", [1e3, 1e4])
     def test_nanorod_matches_50_digit_reference(self, box_radius):
@@ -250,7 +278,7 @@ class TestRadialityRatio:
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
         assert not pencil.E.imag.any() and not pencil.A.imag.any()
         args = (1, 1.0, box_radius, 3, 12)
-        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(0))
+        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(0))[0]
         ref = _mp_radiality_ratio(mpmath, pencil, *args, np.random.default_rng(0))
         assert fast == pytest.approx(ref, rel=1e-13)
 
@@ -295,7 +323,13 @@ _KINDS = ["dense", "quasi-triangular", "rank-1", "zero"]
 @example(n=40, kind="quasi-triangular", is_complex=False, scale=1e200, seed=1)
 @example(n=40, kind="rank-1", is_complex=True, scale=1e-200, seed=2)
 def test_sigma_max_matches_svd_norm(n, kind, is_complex, scale, seed):
-    rng = np.random.default_rng(seed)
+    M = _test_matrix(np.random.default_rng(seed), n, kind, is_complex) * scale
+    ref = np.linalg.norm(M, 2)
+    sigma, _, settled = _stack_sigma_max(M[None])
+    assert settled[0] and abs(sigma[0] - ref) <= 1e-13 * ref
+
+
+def _test_matrix(rng, n, kind, is_complex=False):
     M = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if is_complex else 0.0)
     if kind == "quasi-triangular":  # upper triangular plus 2x2 diagonal blocks, as in a real QZ form
         M = np.triu(M) + np.diag(np.diag(M, -1) * (np.arange(n - 1) % 2 == 0), -1)
@@ -303,9 +337,50 @@ def test_sigma_max_matches_svd_norm(n, kind, is_complex, scale, seed):
         M = np.outer(M[:, 0], M[0])
     elif kind == "zero":
         M = np.zeros_like(M)
-    M = M * scale
-    ref = np.linalg.norm(M, 2)
-    assert abs(_sigma_max(M) - ref) <= 1e-13 * ref
+    elif kind == "clustered":  # sigma_2 = (1 - 1e-8) sigma_1 = 1 - 1e-8, the rest in [0, 0.9]
+        U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        M = (U * np.r_[1.0, 1.0 - 1e-8, rng.uniform(0.0, 0.9, n - 2)]) @ V.T
+    return M
+
+
+def _stack_sigma_max(stack):
+    """``_golub_kahan`` on each matrix of a stack (m, n, n) by batched GEMVs, as radiality sampling runs it."""
+    return _golub_kahan(
+        lambda V: np.matmul(stack, V.T[:, :, None])[..., 0].T,
+        lambda U: np.matmul(stack.transpose(0, 2, 1), U.T.conj()[:, :, None])[..., 0].T.conj(),
+        np.random.default_rng(0).standard_normal(stack.shape[1]).astype(stack.dtype), len(stack))
+
+
+@pytest.mark.parametrize("n", [10, 30, 40, 60])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sigma_max_of_a_clustered_top_pair(n, seed):
+    # sigma_2 = (1 - 1e-8) sigma_1: the Ritz value first converges to a weighted mean of the pair and
+    # stays there for several steps, which the stop rule takes for convergence.  What holds is that
+    # it settles inside the pair, so its error is at most the pair's relative gap, 1e-8.
+    M = _test_matrix(np.random.default_rng(seed), n, "clustered")
+    sig = np.linalg.svd(M, compute_uv=False)
+    sigma, _, settled = _stack_sigma_max(M[None])
+    assert settled[0] and sig[1] * (1 - 1e-13) <= sigma[0] <= sig[0] * (1 + 1e-13)
+
+
+def test_sigma_max_of_a_mixed_batch():
+    # members settle at different steps; a settled member keeps its value while the others go on
+    rng = np.random.default_rng(3)
+    kinds = ["dense", "zero", "rank-1", "quasi-triangular"]
+    stack = np.array([_test_matrix(rng, 40, kind) for kind in kinds])
+    sigma, steps, settled = _stack_sigma_max(stack)
+    assert settled.all() and steps[1] == 1 and steps[2] <= 3 < steps.max()
+    for s, M in zip(sigma, stack):
+        assert abs(s - np.linalg.norm(M, 2)) <= 1e-13 * np.linalg.norm(M, 2)
+
+
+def test_sigma_max_not_settled_at_the_step_cap(monkeypatch):
+    # a member that needs more than LANCZOS_STEPS steps is reported as not settled, the rest are not held up
+    monkeypatch.setattr(core, "LANCZOS_STEPS", 3)
+    rng = np.random.default_rng(4)
+    stack = np.array([_test_matrix(rng, 40, "zero"), _test_matrix(rng, 40, "dense")])
+    sigma, steps, settled = _stack_sigma_max(stack)
+    assert settled.tolist() == [True, False] and steps.tolist() == [1, 3] and sigma[0] == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import subprocess
 import sys
 
 import numpy as np
@@ -286,6 +287,13 @@ class TestCliPipeline:
     def test_decompose_has_no_omega(self, tmp_path, scalar_pencil_file):
         assert main(["decompose", scalar_pencil_file, "--omega", "2", "--output-dir", str(tmp_path)]) == 2
 
+    def test_python_m_daepencil_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(daepencil.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "daepencil", "--help"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0 and done.stdout.startswith("usage: daepencil")
+
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)]) == 2
 
@@ -462,7 +470,7 @@ class TestAnalyzeSharesWork:
         pencil_file = os.path.join(out, [f for f in os.listdir(out) if f.endswith(".json")][0])
         assert main(["indices", pencil_file, "--output-dir", out, "--num-samples", "10"]) == 0
         report = json.load(open(os.path.join(out, "indices.json")))
-        for key in ("real", "complex"):
+        for key in ("real", "complex", "radiality"):
             assert report[key]["svd_fallbacks"] == 0
             assert 1 <= report[key]["lanczos_steps"] <= 30
 

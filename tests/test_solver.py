@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import daepencil.core
 import daepencil.solver
 from daepencil import (
     L2ExampleParams,
@@ -21,7 +22,7 @@ from daepencil import (
     mild_solution_residual,
     weierstrass_solve,
 )
-from daepencil.errors import InconsistentInitialState, OverflowRisk
+from daepencil.errors import InconsistentInitialState, OverflowRisk, ShiftOutsideResolventSet
 from daepencil.solver import MAX_TAIL_TERMS, NODES_PER_PANEL
 
 
@@ -173,6 +174,22 @@ class TestContourSolve:
             assert member
             runs.append(contour_solve(p, z0, cfg, times).states)
         assert np.max(np.abs(runs[0] - runs[1])) <= 1e-5
+
+    def test_omega_checked_on_the_qz_form(self, monkeypatch):
+        # the abscissa is checked by resolvent_norms on the cached QZ form: no dense SVD per solve
+        p = MatrixPencil(np.eye(2), np.diag([-1.0, -3.0]))
+        cfg = _scalar_config()
+        _, z0, _ = admissible_initial_state(p, cfg.mu, cfg.p, np.array([1.0, -0.5]))
+        calls = []
+        svd_check = daepencil.core.resolvent_norm
+        monkeypatch.setattr(daepencil.core, "resolvent_norm", lambda *args: calls.append(args) or svd_check(*args))
+        contour_solve(p, z0, cfg, np.linspace(0.0, 0.5, 6))
+        assert calls == [] and not hasattr(daepencil.solver, "resolvent_norm")
+
+    def test_omega_at_an_eigenvalue_refused(self):
+        p = MatrixPencil(np.eye(2), np.diag([0.5, -1.0]))
+        with pytest.raises(ShiftOutsideResolventSet, match="abscissa omega = 0.5"):
+            contour_solve(p, np.ones(2), SolveConfig(mu=1.5, omega=0.5, p=2), np.linspace(0.0, 1.0, 3))
 
     def test_tail_held_at_zero_for_large_preimage(self):
         # (1, -100) at mu = 2: ||z0|| = 102^2 ~ 1e4, and the next preimage ~ 1e6 would lose
