@@ -15,7 +15,7 @@ from functools import reduce
 from math import factorial
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, qz
+from scipy.linalg import get_lapack_funcs, qz
 
 from .core import MatrixPencil, ResolventSample, _golub_kahan, resolvent_apply, resolvent_norms, spectral_norm
 from .errors import ShiftOutsideResolventSet
@@ -164,29 +164,45 @@ def _radiality_form(pencil: MatrixPencil) -> tuple[np.ndarray, np.ndarray]:
     return S, T
 
 
+def _shift_inverse(S: np.ndarray, T: np.ndarray, ks: np.ndarray, x: float, trtri) -> np.ndarray:
+    """(x S - T)^{-1} for S upper and T quasi-upper triangular with its 2x2 blocks at rows ks, ks + 1:
+    one elimination step on the block entries, with getrf's partial pivoting and reciprocal scaling,
+    gives x S - T = P L U; LAPACK trtri inverts U, and X = U^{-1} L^{-1} P^T by column operations."""
+    M = x * S - T
+    if len(ks):  # a complex QZ form has no blocks
+        swap = np.abs(M[ks + 1, ks]) > np.abs(M[ks, ks])
+        top, bottom = ks + swap, ks + ~swap  # the pivot rows, then the rows they eliminate
+        mult, upper = M[bottom, ks] * (1.0 / M[top, ks]), M[top]  # the pivot is at least |T[k + 1, k]| > 0
+        M[ks], M[ks + 1] = upper, M[bottom] - mult[:, None] * upper
+        M[ks + 1, ks] = 0.0
+    if not np.diagonal(M).all():
+        raise ShiftOutsideResolventSet(f"radiality shift {x!r} has a zero LU pivot")
+    X, info = trtri(M, overwrite_c=True)
+    if info or not np.isfinite(X).all():
+        raise ShiftOutsideResolventSet(f"inverse at radiality shift {x!r} is not finite (trtri info {info})")
+    if len(ks):
+        carried = X[:, ks + 1]
+        X[:, top], X[:, bottom] = X[:, ks] - carried * mult, carried
+    return X
+
+
 def _max_radiality_ratio(
     S: np.ndarray, T: np.ndarray, p: int, omega: float, box_radius: float, n_max: int,
     num_samples: int, rng: np.random.Generator,
 ) -> tuple[float, int, int]:
-    # With (S, T) = _radiality_form(pencil), the inverse X = (x S - T)^{-1} at each shift x (LAPACK
-    # getri on one LU) gives (I + X T) / x = (x S - T)^{-1} S and (I + T X) / x = S (x S - T)^{-1} by
-    # matrix products: the exact I keeps large x accurate, and unlike x E - A, index-3 products too.
-    getri, getri_lwork = get_lapack_funcs(("getri", "getri_lwork"), (S, T))
-    lwork = int(getri_lwork(len(S))[0].real)
+    # With (S, T) = _radiality_form(pencil), the inverse X = (x S - T)^{-1} at each shift x gives
+    # (I + X T) / x = (x S - T)^{-1} S and (I + T X) / x = S (x S - T)^{-1} by matrix products: the
+    # exact I keeps large x accurate, and unlike x E - A, index-3 products too.
+    (trtri,), ks = get_lapack_funcs(("trtri",), (S, T)), np.flatnonzero(np.diagonal(T, -1))
     eye, worst, steps, fallbacks = np.eye(len(S)), 0.0, 0, 0
     chunk = max(1, 2**22 // S.nbytes)  # samples whose 2 products fill a stack of at most about 8 MB
     stack, weights = np.empty((2 * chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
     for sample in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
         n = int(rng.integers(1, n_max + 1))
-        lus = [lu_factor(x * S - T, check_finite=False) for x in lams]
-        if not all(np.diagonal(lu).all() for lu, _ in lus):
-            raise ShiftOutsideResolventSet(f"a radiality shift in {lams.tolist()} has a zero LU pivot")
-        inverses = [getri(lu, piv, lwork=lwork, overwrite_lu=True) for lu, piv in lus]
-        if any(info for _, info in inverses):
-            raise ShiftOutsideResolventSet(f"getri infos {[i for _, i in inverses]} at {lams.tolist()}")
-        right = reduce(np.matmul, [(eye + X @ T) / x for (X, _), x in zip(inverses, lams)])
-        left = reduce(np.matmul, [(eye + T @ X) / x for (X, _), x in zip(inverses, lams)])
+        inverses = [_shift_inverse(S, T, ks, x, trtri) for x in lams]
+        right = reduce(np.matmul, [(eye + X @ T) / x for X, x in zip(inverses, lams)])
+        left = reduce(np.matmul, [(eye + T @ X) / x for X, x in zip(inverses, lams)])
         i = sample % chunk
         stack[2 * i], stack[2 * i + 1] = (np.linalg.matrix_power(M, n) for M in (right, left))
         if not np.isfinite(stack[2 * i : 2 * i + 2]).all():

@@ -57,18 +57,12 @@ class PhPencil:
     Q: np.ndarray
 
     def __post_init__(self):
-        E = as_complex_matrix(self.E)
-        A = as_complex_matrix(self.A)
-        Q = as_complex_matrix(self.Q)
+        E, A, Q = mats = [as_complex_matrix(M) for M in (self.E, self.A, self.Q)]
         if not (E.shape == A.shape == Q.shape) or E.shape[0] != E.shape[1]:
-            raise ValueError(
-                f"E, A, Q must be square with equal shape, got {E.shape}, {A.shape}, {Q.shape}"
-            )
-        for M in (E, A, Q):
+            raise ValueError(f"E, A, Q must be square with equal shape, got {E.shape}, {A.shape}, {Q.shape}")
+        for name, M in zip("EAQ", mats):
             M.setflags(write=False)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "Q", Q)
+            object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:
@@ -118,9 +112,6 @@ class PhReport:
         for key in ("real_index", "complex_index"):
             if out[key] is not None:
                 out[key] = out[key].as_dict()
-        if self.subspace_conditions is not None:
-            out["subspace_conditions"] = list(self.subspace_conditions)
-        out["failures"] = list(self.failures)
         return out
 
 
@@ -345,24 +336,10 @@ def verify_ph_structure(
             failures.append(f"index estimation: {exc}")
 
     return PhReport(
-        symmetry_residual=sym,
-        psd_min_eig=psd_min,
-        dissipativity_max_eig=dis_max,
-        q_condition=cond_q,
-        e_rank=e_rank,
-        symmetry_ok=symmetry_ok,
-        psd_ok=psd_ok,
-        dissipativity_ok=dissipativity_ok,
-        q_ok=q_ok,
-        structure_ok=structure_ok,
-        T=T,
-        c_T=c_T,
-        S=S,
-        c_S=c_S,
-        real_index=real_index,
-        complex_index=complex_index,
-        subspace_conditions=subspace,
-        failures=tuple(failures),
+        symmetry_residual=sym, psd_min_eig=psd_min, dissipativity_max_eig=dis_max, q_condition=cond_q,
+        e_rank=e_rank, symmetry_ok=symmetry_ok, psd_ok=psd_ok, dissipativity_ok=dissipativity_ok, q_ok=q_ok,
+        structure_ok=structure_ok, T=T, c_T=c_T, S=S, c_S=c_S, real_index=real_index,
+        complex_index=complex_index, subspace_conditions=subspace, failures=tuple(failures),
     )
 
 

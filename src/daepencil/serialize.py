@@ -1,18 +1,22 @@
-"""File formats: pencil JSON, report JSON and trajectory CSV.
+"""File formats: pencil JSON, report JSON with its .npz sidecar, and trajectory CSV.
 
-Complex matrices are stored as nested lists with each entry a two-element
-array [re, im].  A pencil file is an object with keys "n", "E", "A" and
+A pencil file stores complex matrices as nested lists with each entry a
+two-element array [re, im].  It is an object with keys "n", "E", "A" and
 optionally "Q"; when Q is present the file describes the triple (E, A, Q)
-of d/dt Ex = AQx.  All writes are atomic (temp file + rename) and
+of d/dt Ex = AQx.  A report keeps its arrays in a sidecar ``<stem>.npz``
+(see ``save_json``).  All writes are atomic (temp file + rename) and
 deterministic: same data, same bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
+import zipfile
+from urllib.parse import quote
 
 import numpy as np
 
@@ -78,13 +82,13 @@ def pencil_from_dict(data: dict) -> MatrixPencil | PhPencil:
     return PhPencil(*mats) if len(mats) == 3 else MatrixPencil(*mats)
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str | bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as fh:
             # mkstemp creates the file with mode 0600; give it the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
@@ -95,48 +99,45 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _array_json(M: np.ndarray, indent: str) -> str:
-    """json.dumps(matrix_to_json(M), indent=2) on a line indented by ``indent``, without the lists."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.ndim > 2 or not M.size:
-        return json.dumps(matrix_to_json(M), indent=2).replace("\n", "\n" + indent)
-    i1, i2, i3 = (indent + "  " * d for d in (1, 2, 3))
-    text = list(map(float.__repr__, np.ravel(M).view(float).tolist()))
-    if not np.isfinite(M).all():
-        text = [{"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(t, t) for t in text]
-    pairs, cols = list(map(f",\n{i3}".join, zip(text[::2], text[1::2]))), M.shape[1]  # "re,\n im"
-    rows = [f"\n{i2}],\n{i2}[\n{i3}".join(pairs[r * cols : (r + 1) * cols]) for r in range(M.shape[0])]
-    between_rows = f"\n{i2}]\n{i1}],\n{i1}[\n{i2}[\n{i3}"
-    return f"[\n{i1}[\n{i2}[\n{i3}" + between_rows.join(rows) + f"\n{i2}]\n{i1}]\n{indent}]"
+def _jsonable(obj, path: tuple, sidecar: str, arrays: dict):
+    """``obj`` with numpy scalars as numbers, complex numbers as [re, im], and each ndarray moved into
+    ``arrays`` with a reference to it left in its place.  The member name is the path of keys and
+    indices to the array, each percent-encoded ('.' too) and joined by '.', so no two paths share one."""
+    if isinstance(obj, np.ndarray):
+        member = ".".join(quote(str(key), safe="").replace(".", "%2E") for key in path) + ".npy"
+        arrays[member] = obj
+        return {"sidecar": sidecar, "member": member, "shape": list(obj.shape), "dtype": str(obj.dtype),
+                "frobenius_norm": float(np.linalg.norm(obj))}
+    if isinstance(obj, dict):
+        return {key: _jsonable(value, (*path, key), sidecar, arrays) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value, (*path, i), sidecar, arrays) for i, value in enumerate(obj)]
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+        if isinstance(obj, kind):
+            return cast(obj)
+    return obj  # json.dumps raises TypeError on any other type
 
 
 def save_json(path: str, data: dict) -> None:
-    """json.dumps(data, indent=2, sort_keys=True) with numpy scalars as numbers, complex numbers as
-    [re, im] and each ndarray as matrix_to_json(array).  The arrays stand in the skeleton as a token
-    string, lengthened until no string of ``data`` equals it, and are rendered by ``_array_json``."""
-    arrays, token = [], "\x00"
-
-    def default(obj):
-        if isinstance(obj, np.ndarray):
-            arrays.append(obj)
-            return token
-        if isinstance(obj, complex):
-            return [obj.real, obj.imag]
-        for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
-            if isinstance(obj, kind):
-                return cast(obj)
-        return json.JSONEncoder().default(obj)  # raises TypeError
-
-    skeleton = json.dumps(data, indent=2, sort_keys=True, default=default)
-    while skeleton.count(json.dumps(token)) != len(arrays):  # a string of ``data`` equals the token
-        arrays, token = [], token + "\x00"
-        skeleton = json.dumps(data, indent=2, sort_keys=True, default=default)
-    parts = skeleton.split(json.dumps(token))
-    pieces = parts[:1]
-    for array, before, after in zip(arrays, parts, parts[1:]):
-        line = before[before.rfind("\n") + 1 :]  # the array's line up to it, indent first
-        pieces += [_array_json(array, " " * (len(line) - len(line.lstrip(" ")))), after]
-    atomic_write_text(path, "".join(pieces) + "\n")
+    """json.dumps(data, indent=2, sort_keys=True) of ``_jsonable(data)``: each ndarray stands there
+    as a reference (sidecar, member, shape, dtype, frobenius_norm) to a member of ``<stem>.npz``,
+    which holds the arrays bit for bit in the .npy format.  The sidecar is stored uncompressed, its
+    members in sorted order with a fixed timestamp, so the same data gives the same bytes; it is
+    written before the JSON, and a stale one is removed when the data hold no array."""
+    arrays, sidecar = {}, os.path.splitext(path)[0] + ".npz"
+    text = json.dumps(_jsonable(data, (), os.path.basename(sidecar), arrays), indent=2, sort_keys=True)
+    if arrays:
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
+            for member in sorted(arrays):
+                with archive.open(zipfile.ZipInfo(member, (1980, 1, 1, 0, 0, 0)), "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, arrays[member], allow_pickle=False)
+        atomic_write_text(sidecar, buffer.getvalue())
+    elif os.path.exists(sidecar):
+        os.remove(sidecar)
+    atomic_write_text(path, text + "\n")
 
 
 def save_pencil(path: str, obj: MatrixPencil | PhPencil, provenance: dict | None = None) -> None:
@@ -149,7 +150,7 @@ def load_pencil(path: str) -> MatrixPencil | PhPencil:
 
 
 def decomposition_to_dict(decomp: WeierstrassDecomposition) -> dict:
-    keys = "n d1 d2 nilpotency_index A1 N T_L T_R P R reconstruction_residual"
+    keys = "n d1 d2 nilpotency_index A1 N T_L T_R P R reconstruction_residual mu mu_condition_estimate cond_T_L cond_T_R"
     return {key: getattr(decomp, key) for key in keys.split()}
 
 

@@ -47,8 +47,12 @@ class WeierstrassDecomposition:
     P: np.ndarray
     R: np.ndarray
     nilpotency_index: int
-    #: ||E_rec - E|| + ||A_rec - A|| of ``reconstruct``; set by ``decompose``
+    cond_T_L: float  # 2-norm condition numbers, checked against 1e12 before any inverse
+    cond_T_R: float
+    #: set by ``decompose``: ||E_rec - E|| + ||A_rec - A||, the shift mu and its ``gecon`` estimate
     reconstruction_residual: float | None = None
+    mu: complex | None = None
+    mu_condition_estimate: float | None = None
 
     @property
     def n(self) -> int:
@@ -126,7 +130,7 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
             raise IllConditionedTransform(f"reconstruction residual {residual:.3e} > {bound:.3e}")
     except (IllConditionedTransform, np.linalg.LinAlgError) as exc:
         raise IllConditionedTransform(f"split at shift mu = {mu:.6g} with d1 = {d1}: {exc}") from exc
-    return replace(decomp, reconstruction_residual=residual)
+    return replace(decomp, reconstruction_residual=residual, mu=mu, mu_condition_estimate=cond)
 
 
 def _gap_rank(sigma: np.ndarray, drop: float) -> int:
@@ -233,7 +237,7 @@ def _decompose_at(pencil: MatrixPencil, ran_r: np.ndarray, ker_r: np.ndarray) ->
     P = ran_r @ np.linalg.inv(T_R)[:d1]
     R = M[:, :d1] @ T_L[:d1]
     return WeierstrassDecomposition(
-        T_L=T_L, T_R=T_R, A1=A1, N=N, d1=d1, d2=d2, P=P, R=R, nilpotency_index=k
+        T_L=T_L, T_R=T_R, A1=A1, N=N, d1=d1, d2=d2, P=P, R=R, nilpotency_index=k, cond_T_L=cond_L, cond_T_R=cond_R
     )
 
 

@@ -230,47 +230,76 @@ class TestRadialityRatio:
     def test_factorises_in_pencil_dtype(self, monkeypatch, pencil, dtype):
         seen = []
 
-        def recording_lu_factor(M, **kwargs):
-            seen.append(M.dtype)
-            return scipy.linalg.lu_factor(M, **kwargs)
+        def recording_get_lapack_funcs(names, arrays):
+            funcs = scipy.linalg.get_lapack_funcs(names, arrays)
+            return [lambda M, *a, f=f, **k: seen.append(M.dtype) or f(M, *a, **k) for f in funcs]
 
-        monkeypatch.setattr(indices, "lu_factor", recording_lu_factor)
+        monkeypatch.setattr(indices, "get_lapack_funcs", recording_get_lapack_funcs)
         _max_radiality_ratio(*_radiality_form(pencil), 1, 0.5, 10.0, 3, 5, np.random.default_rng(7))
         assert seen and set(seen) == {np.dtype(dtype)}
 
-
-    def test_one_lu_and_one_inverse_per_shift(self, monkeypatch):
-        # the design: per shift one lu_factor and one getri on it, then only matrix products and
-        # Lanczos on the stacked products; no triangular solves with n right-hand sides, no SVD
-        # and no symmetric eigensolve
-        counts = {"lu_factor": 0, "getri": 0}
-
-        def counting_lu_factor(M, **kwargs):
-            counts["lu_factor"] += 1
-            return scipy.linalg.lu_factor(M, **kwargs)
+    def test_one_triangular_inverse_per_shift(self, monkeypatch):
+        # the design: per shift one trtri on the eliminated QZ form, then only matrix products and
+        # Lanczos on the stacked products; no LU, no getri, no triangular solves with n right-hand
+        # sides, no SVD and no symmetric eigensolve
+        calls = []
 
         def counting_get_lapack_funcs(names, arrays):
+            calls.append(tuple(names))
             funcs = scipy.linalg.get_lapack_funcs(names, arrays)
-
-            def getri(*args, **kwargs):
-                counts["getri"] += 1
-                return funcs[0](*args, **kwargs)
-
-            return (getri, *funcs[1:]) if names[0] == "getri" else funcs
+            return [lambda *a, f=f, name=name, **k: calls.append(name) or f(*a, **k) for f, name in zip(funcs, names)]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("radiality sampling must not call this")
 
-        monkeypatch.setattr(indices, "lu_factor", counting_lu_factor)
         monkeypatch.setattr(indices, "get_lapack_funcs", counting_get_lapack_funcs)
-        for module, name in [(scipy.linalg, "lu_solve"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
-                             (np.linalg, "svd"), (scipy.linalg, "eigh"), (np.linalg, "eigh"),
-                             (indices, "resolvent_norms")]:
+        for module, name in [(scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve"), (scipy.linalg, "svd"),
+                             (scipy.linalg, "svdvals"), (np.linalg, "svd"), (np.linalg, "inv"),
+                             (scipy.linalg, "eigh"), (np.linalg, "eigh"), (indices, "resolvent_norms")]:
             monkeypatch.setattr(module, name, forbidden)
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
         _max_radiality_ratio(*_radiality_form(pencil), 1, 0.5, 10.0, 3, 7, np.random.default_rng(7))
-        assert counts == {"lu_factor": 14, "getri": 14}
-        assert not hasattr(indices, "lu_solve") and not hasattr(indices, "eigh")
+        assert calls == [("trtri",)] + ["trtri"] * 14
+        assert not any(hasattr(indices, name) for name in ("lu_factor", "lu_solve", "eigh"))
+
+    @pytest.mark.parametrize(
+        "pencil, p, box_radius",
+        [
+            (build_nanorod(NanorodParams(n_grid=10)).pencil, 1, 1e3),
+            (build_l2_example(L2ExampleParams(K=40)), 1, 8e3),
+            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 2, 1e3),
+            (random_regular_pencil(np.random.default_rng(0), 20, 2), 1, 1e3),
+        ],
+        ids=["nanorod-10", "l2-40", "random-index-3", "complex-d1-20"],
+    )
+    def test_ratios_equal_lu_getri_reference(self, monkeypatch, pencil, p, box_radius):
+        # the elimination step pivots and scales as getrf does, and trtri is getri's own first step;
+        # U can differ in a last bit where getrf fuses a multiply-add, yet on these pencils every
+        # ratio equals, bit for bit, the one from an LU and getri of x S - T at each shift
+        fast = verify_radiality(pencil, p, 0.5, box_radius, num_samples=60)
+
+        def lu_getri_inverse(S, T, ks, x, trtri):
+            getri = scipy.linalg.get_lapack_funcs("getri", (S,))
+            X, info = getri(*scipy.linalg.lu_factor(x * S - T))
+            assert info == 0
+            return X
+
+        monkeypatch.setattr(indices, "_shift_inverse", lu_getri_inverse)
+        ref = verify_radiality(pencil, p, 0.5, box_radius, num_samples=60)
+        assert (fast.max_ratio, fast.max_ratio_wide) == (ref.max_ratio, ref.max_ratio_wide)
+
+    def test_shift_inverse_of_every_block_pivot(self):
+        # a real QZ form with 2x2 blocks whose subdiagonal entry is the pivot at some shifts and not at others
+        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
+        S, T = _radiality_form(pencil)
+        (trtri,), ks = scipy.linalg.get_lapack_funcs(("trtri",), (S,)), np.flatnonzero(np.diagonal(T, -1))
+        assert len(ks) and not np.tril(S, -1).any() and not np.tril(T, -2).any()
+        swaps = set()
+        for x in np.geomspace(1e-3, 1e4, 30):
+            swaps.add(bool(np.any(np.abs(T[ks + 1, ks]) > np.abs(x * S[ks, ks] - T[ks, ks]))))
+            X = indices._shift_inverse(S, T, ks, x, trtri)
+            assert np.linalg.norm(X @ (x * S - T) - np.eye(len(S)), 1) <= 1e-12 * np.linalg.cond(x * S - T, 1)
+        assert swaps == {True, False}
 
     @pytest.mark.parametrize("box_radius", [1e3, 1e4])
     def test_nanorod_matches_50_digit_reference(self, box_radius):

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -92,14 +93,15 @@ class TestTrajectoryCsv:
         assert header == "t, re(x_1), im(x_1), re(x_2), im(x_2), H"
 
 
-def _jsonable(obj):
-    """The reference conversion: save_json must write json.dumps(_jsonable(data), indent=2, sort_keys=True)."""
+def _jsonable(obj, written):
+    """The reference conversion: save_json must write json.dumps(_jsonable(data, written), indent=2,
+    sort_keys=True), where ``written`` is the parsed JSON and supplies each array's reference."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, written[k]) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, w) for v, w in zip(obj, written, strict=True)]
     if isinstance(obj, np.ndarray):
-        return matrix_to_json(obj)
+        return written
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -109,6 +111,17 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     return obj
+
+
+def _arrays_with_references(obj, written):
+    """(array, its reference in ``written``) for every ndarray of ``obj``."""
+    if isinstance(obj, np.ndarray):
+        return [(obj, written)]
+    if isinstance(obj, dict):
+        return [pair for k, v in obj.items() for pair in _arrays_with_references(v, written[k])]
+    if isinstance(obj, (list, tuple)):
+        return [pair for v, w in zip(obj, written) for pair in _arrays_with_references(v, w)]
+    return []
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, np.nan, np.inf, -np.inf])
@@ -153,14 +166,35 @@ class TestSaveJson:
             "arrays": [np.zeros((0, 0)), np.zeros((1, 0)), np.array([1.0, np.nan, -np.inf]), np.arange(6.0).reshape(2, 3)],
             "complex arrays": {"a": np.array([1j, -0.0, np.inf * 1j]), "b": np.ones((2, 3)) * (1 - 1j)},
             "placeholders": ["\x00", "\x00\x00", 'a"\x00', {"\x00": np.eye(1)}],
+            "member names": {"a.b": np.ones(1), "a": {"b": np.zeros(1)}, "c/d": [np.eye(2)], "": {"": -np.eye(1)},
+                             "%2E": np.ones(2), ".": np.zeros(2), "\x00.npy": np.ones(3), "\u00e9": 1j * np.ones(1)},
         }
     )
     def test_bytes_match_json_dumps(self, tmp_path_factory, data):
-        path = str(tmp_path_factory.mktemp("json") / "out.json")
-        save_json(path, data)
-        with open(path, "rb") as fh:
+        # the JSON is json.dumps of the data with each array replaced by its reference; the sidecar
+        # holds every array bit for bit, once, under a member name of its own
+        out = tmp_path_factory.mktemp("json")
+        save_json(str(out / "out.json"), data)
+        with open(out / "out.json", "rb") as fh:
             written = fh.read()
-        assert written == (json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n").encode()
+        parsed = json.loads(written)
+        assert written == (json.dumps(_jsonable(data, parsed), indent=2, sort_keys=True) + "\n").encode()
+        pairs = _arrays_with_references(data, parsed)
+        assert os.path.exists(out / "out.npz") == bool(pairs)
+        if not pairs:
+            return
+        with zipfile.ZipFile(out / "out.npz") as archive:
+            infos = archive.infolist()
+        assert [i.filename for i in infos] == sorted({ref["member"] for _, ref in pairs})
+        assert len(infos) == len(pairs)
+        assert {(i.compress_type, i.date_time) for i in infos} == {(zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))}
+        with np.load(out / "out.npz", allow_pickle=False) as sidecar:
+            for array, ref in pairs:
+                stored = sidecar[ref["member"]]
+                assert (stored.dtype, stored.shape, stored.tobytes()) == (array.dtype, array.shape, array.tobytes())
+                assert ref["sidecar"] == "out.npz"
+                assert (ref["shape"], ref["dtype"]) == (list(array.shape), str(array.dtype))
+                assert ref["frobenius_norm"] == pytest.approx(np.linalg.norm(array), rel=0, abs=0, nan_ok=True)
 
 
 class TestAtomicWrite:
@@ -182,11 +216,22 @@ class TestAtomicWrite:
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
     def test_deterministic_json_bytes(self, tmp_path):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        data = {"z": 1, "a": [1.5, 2.5], "m": np.eye(2)}
-        save_json(a, data)
-        save_json(b, data)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        data = {"z": 1, "a": [1.5, 2.5], "m": np.eye(2), "c": {"x": np.arange(3) * 1j}}
+        for run in ("a", "b"):
+            os.mkdir(tmp_path / run)
+            save_json(str(tmp_path / run / "r.json"), data)
+        for name in ("r.json", "r.npz"):
+            assert open(tmp_path / "a" / name, "rb").read() == open(tmp_path / "b" / name, "rb").read()
+        assert sorted(os.listdir(tmp_path / "a")) == ["r.json", "r.npz"]
+
+    def test_sidecar_replaced_and_stale_one_removed(self, tmp_path):
+        path = str(tmp_path / "r.json")
+        save_json(path, {"m": np.eye(2)})
+        save_json(path, {"m": np.zeros(3)})
+        with np.load(tmp_path / "r.npz") as sidecar:
+            assert sidecar.files == ["m"] and np.array_equal(sidecar["m"], np.zeros(3))
+        save_json(path, {"m": None})
+        assert os.listdir(tmp_path) == ["r.json"]
 
 
 @pytest.fixture
@@ -284,6 +329,16 @@ class TestCliPipeline:
         assert json.loads(capsys.readouterr().err)["error"] == "IrregularPencil"
         assert json.load(open(tmp_path / "analyze.json")) == {"regular": False, "seed": 3}
 
+    def test_analyze_irregular_leaves_no_stale_sidecar(self, tmp_path, capsys, scalar_pencil_file):
+        out = str(tmp_path / "out")
+        assert main(["analyze", scalar_pencil_file, "--output-dir", out, "--num-samples", "20"]) == 0
+        assert sorted(os.listdir(out)) == ["analyze.json", "analyze.npz"]
+        N = np.array([[0.0, 1.0], [0.0, 0.0]])
+        pencil_file = str(tmp_path / "irregular.json")
+        save_pencil(pencil_file, MatrixPencil(N, N))
+        assert main(["analyze", pencil_file, "--output-dir", out]) == 1
+        assert os.listdir(out) == ["analyze.json"]
+
     def test_decompose_has_no_omega(self, tmp_path, scalar_pencil_file):
         assert main(["decompose", scalar_pencil_file, "--omega", "2", "--output-dir", str(tmp_path)]) == 2
 
@@ -375,14 +430,17 @@ class TestCliPipeline:
         assert main(["example", "nanorod", "--n-grid", "2", "--output-dir", str(tmp_path)]) == 2
 
     def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         pencil_file = str(tmp_path / "dae.json")
-        save_pencil(pencil_file, MatrixPencil(np.diag([1.0, 0.0]), -np.eye(2)))
-        assert main(["decompose", pencil_file, "--output-dir", out1]) == 0
-        assert main(["decompose", pencil_file, "--output-dir", out2]) == 0
-        a = open(os.path.join(out1, "decompose.json"), "rb").read()
-        b = open(os.path.join(out2, "decompose.json"), "rb").read()
-        assert a == b
+        save_pencil(pencil_file, MatrixPencil(np.diag([1.0, 2.0, 0.0]), -np.eye(3)))
+        for command in ("decompose", "analyze"):
+            outs = [str(tmp_path / command / run) for run in ("a", "b")]
+            extra = ["--num-samples", "20"] if command == "analyze" else []
+            for out in outs:
+                assert main([command, pencil_file, "--output-dir", out, *extra]) == 0
+            files = sorted(os.listdir(outs[0]))
+            assert files == sorted(os.listdir(outs[1])) == [f"{command}.json", f"{command}.npz"]
+            for name in files:
+                assert open(os.path.join(outs[0], name), "rb").read() == open(os.path.join(outs[1], name), "rb").read()
 
     def test_config_file_precedence(self, tmp_path, scalar_pencil_file):
         out = str(tmp_path)

@@ -27,6 +27,7 @@ from daepencil import weierstrass
 from daepencil.errors import (
     DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence, PencilError,
 )
+from daepencil.serialize import decomposition_to_dict
 
 
 def _reconstruction_residual(pencil, decomp):
@@ -101,6 +102,26 @@ class TestDecompose:
         d = decompose(p)
         assert d.reconstruction_residual == _reconstruction_residual(p, d)
         assert d.reconstruction_residual <= 1e-8 * (spectral_norm(p.E) + spectral_norm(p.A))
+
+    @pytest.mark.parametrize(
+        "pencil",
+        [random_regular_pencil(np.random.default_rng(3), 3, 2), build_nanorod(NanorodParams(n_grid=10)).pencil,
+         build_l2_example(L2ExampleParams(K=8)), build_zero_dynamics(-np.eye(3), np.ones(3), np.ones(3)).pencil],
+        ids=["random", "nanorod", "l2", "zero-dyn"],
+    )
+    def test_records_its_deciding_quantities(self, pencil):
+        # the condition numbers checked against 1e12 are those of the returned transforms, and the
+        # shift's condition estimate is LAPACK's, as decompose ranked the draws by it
+        d = decompose(pencil)
+        assert d.cond_T_L == pytest.approx(np.linalg.cond(d.T_L), rel=1e-8)
+        assert d.cond_T_R == pytest.approx(np.linalg.cond(d.T_R), rel=1e-8)
+        M = d.mu * pencil.E - pencil.A
+        getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
+        rcond = gecon(getrf(M)[0], np.linalg.norm(M, 1), norm="1")[0]
+        assert d.mu_condition_estimate == 1.0 / rcond
+        assert abs(d.mu) <= 4 * (spectral_norm(pencil.E) + spectral_norm(pencil.A))
+        keys = {"mu", "mu_condition_estimate", "cond_T_L", "cond_T_R"}
+        assert keys <= set(decomposition_to_dict(d)) and all(decomposition_to_dict(d)[k] is not None for k in keys)
 
     @pytest.mark.parametrize("d1", [0, 1])
     def test_index_six_split_from_rank_profile(self, d1):
