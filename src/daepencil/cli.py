@@ -29,15 +29,7 @@ from .indices import (
 )
 from .models import L2ExampleParams, NanorodParams, build_l2_example, build_nanorod
 from .phdae import PhPencil, _default_omega, dissipation_trace, verify_ph_structure
-from .serialize import (
-    decomposition_to_dict,
-    load_pencil,
-    matrix_from_json,
-    ph_report_to_dict,
-    save_json,
-    save_pencil,
-    save_trajectory_csv,
-)
+from .serialize import load_pencil, matrix_from_json, result_fields, save_json, save_pencil, save_trajectory_csv
 from .solver import (
     QuadratureConfig,
     SolveConfig,
@@ -97,9 +89,9 @@ def _index_report(
     )
     report = {
         "nilpotency": decomp.nilpotency_index,
-        "real": real.as_dict(),
-        "complex": cplx.as_dict(),
-        "radiality": rad.as_dict(),
+        "real": real,
+        "complex": cplx,
+        "radiality": rad,
         "relations": index_relations_check(decomp, real, rad),
         "seed": args.seed,
         "config": {
@@ -114,8 +106,7 @@ def _index_report(
 
 def _cmd_decompose(args) -> int:
     obj = _load_input(args.input)
-    report = decomposition_to_dict(decompose(_dynamics_pencil(obj)))
-    report["seed"] = args.seed
+    report = {**result_fields(decompose(_dynamics_pencil(obj))), "seed": args.seed}
     save_json(os.path.join(args.output_dir, "decompose.json"), report)
     return EXIT_OK
 
@@ -133,9 +124,7 @@ def _cmd_verify_ph(args) -> int:
     if not isinstance(obj, PhPencil):
         raise ValueError("verify-ph requires a pencil file with a Q matrix")
     report = verify_ph_structure(obj, omega=args.omega)
-    out = ph_report_to_dict(report)
-    out["seed"] = args.seed
-    save_json(os.path.join(args.output_dir, "ph_report.json"), out)
+    save_json(os.path.join(args.output_dir, "ph_report.json"), {**result_fields(report), "seed": args.seed})
     return EXIT_OK if report.structure_ok else EXIT_VERIFICATION_FAILED
 
 
@@ -149,11 +138,11 @@ def _cmd_analyze(args) -> int:
         raise
     report: dict = {"seed": args.seed, "regular": True}
     status = EXIT_OK
-    report["decomposition"] = decomposition_to_dict(decomp)
+    report["decomposition"] = decomp
     report["indices"], real, cplx = _index_report(args, pencil, decomp)
     if isinstance(obj, PhPencil):
         ph_report = verify_ph_structure(obj, decomp=decomp, estimates=(real, cplx))
-        report["ph"] = ph_report_to_dict(ph_report)
+        report["ph"] = ph_report
         if not ph_report.structure_ok:
             status = EXIT_VERIFICATION_FAILED
             _emit_error("PhStructureFailed", "; ".join(ph_report.failures) or "structural check failed")
@@ -163,7 +152,12 @@ def _cmd_analyze(args) -> int:
 
 def _parse_x0(args, n: int) -> np.ndarray:
     if args.x0 is not None:
-        vals = [complex(tok.strip().replace("i", "j")) for tok in args.x0.split(",")]
+        vals = []
+        for tok in map(str.strip, args.x0.split(",")):
+            try:  # a trailing i is the imaginary unit; the i of inf is not
+                vals.append(complex(tok[:-1] + "j" if tok.endswith("i") else tok))
+            except ValueError:
+                raise ValueError(f"--x0 entry {tok!r} is not a complex number") from None
     elif args.x0_file is not None:
         with open(args.x0_file) as fh:
             data = json.load(fh)

@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qz
 
-from .core import MatrixPencil, ResolventSample, _golub_kahan, resolvent_apply, resolvent_norms, spectral_norm
+from .core import MatrixPencil, _golub_kahan, resolvent_apply, resolvent_norms, spectral_norm
 from .errors import ShiftOutsideResolventSet
 from .solver import QuadratureConfig, bromwich_integral
 
@@ -47,15 +47,10 @@ class GrowthEstimate:
     omega: float
     slope: float
     index: int
-    samples: tuple[ResolventSample, ...]
     fit_residual: float
     slope_warning: bool
     lanczos_steps: int  # most steps any shift took, see core.resolvent_norms
     svd_fallbacks: int
-
-    def as_dict(self) -> dict:
-        keys = "omega slope index fit_residual slope_warning lanczos_steps svd_fallbacks"
-        return {key: getattr(self, key) for key in keys.split()}
 
 
 @dataclass(frozen=True)
@@ -66,15 +61,11 @@ class RadialityEvidence:
     omega: float
     n_max: int
     num_samples: int
-    max_ratio: float
+    C: float  # the empirical radiality constant: the largest weighted product norm in the box
     max_ratio_wide: float
     verdict: str  # "supported" | "falsified"
     lanczos_steps: int  # most steps any product took, over both boxes
     svd_fallbacks: int
-
-    def as_dict(self) -> dict:
-        keys = "p omega n_max num_samples max_ratio_wide verdict lanczos_steps svd_fallbacks"
-        return {"C": self.max_ratio, **{key: getattr(self, key) for key in keys.split()}}
 
 
 def _require_above(**bounds: tuple[float, float]) -> None:
@@ -109,8 +100,8 @@ def _grid_estimate(pencil: MatrixPencil, omega: float, lams, log_growth) -> Grow
     slope, rms = _fit_upper_half(*log_growth(samples))
     index, warn = _index_from_slope(slope)
     return GrowthEstimate(
-        omega=omega, slope=slope, index=index, samples=tuple(samples), fit_residual=rms,
-        slope_warning=warn, lanczos_steps=steps, svd_fallbacks=fallbacks,
+        omega=omega, slope=slope, index=index, fit_residual=rms, slope_warning=warn,
+        lanczos_steps=steps, svd_fallbacks=fallbacks,
     )
 
 
@@ -234,7 +225,7 @@ def verify_radiality(
     Draws shift tuples from (omega, omega + box_radius) and powers up to
     n_max, records the largest weighted product norm, then repeats at ten
     times the box radius.  A ratio growth beyond DIVERGENCE_FACTOR falsifies
-    the bound; otherwise it is supported with empirical constant max_ratio.
+    the bound; otherwise it is supported with empirical constant C.
     "supported" is evidence, not proof.
 
     The verdict is about the pencil as stored.  Rounding E and A moves the
@@ -250,7 +241,7 @@ def verify_radiality(
     (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = (  # the box, then ten times it
         _max_radiality_ratio(S, T, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
     return RadialityEvidence(
-        p=p, omega=omega, n_max=n_max, num_samples=num_samples, max_ratio=ratio, max_ratio_wide=ratio_wide,
+        p=p, omega=omega, n_max=n_max, num_samples=num_samples, C=ratio, max_ratio_wide=ratio_wide,
         verdict="falsified" if ratio_wide > DIVERGENCE_FACTOR * ratio else "supported",
         lanczos_steps=max(steps, steps_wide), svd_fallbacks=fallbacks + fallbacks_wide,
     )

@@ -10,7 +10,8 @@ the resolvent-index bounds and semigroup subspace conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +69,9 @@ class PhPencil:
     def n(self) -> int:
         return self.E.shape[0]
 
-    @property
+    @cached_property
     def pencil(self) -> MatrixPencil:
-        """The dynamics pencil lambda*E - A@Q."""
+        """The dynamics pencil lambda*E - A@Q, formed once, so its cached QZ is shared."""
         return MatrixPencil(self.E, self.A @ self.Q)
 
 
@@ -106,14 +107,6 @@ class PhReport:
     subspace_conditions: tuple[bool, bool] | None
     failures: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        """Every field except the matrices T and S, as JSON-ready values."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("T", "S")}
-        for key in ("real_index", "complex_index"):
-            if out[key] is not None:
-                out[key] = out[key].as_dict()
-        return out
-
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
@@ -135,19 +128,6 @@ def _gap_keep(values: np.ndarray, scale: float, split: str) -> np.ndarray:
             gap = f" is below the required gap factor {SPECTRAL_GAP:.0e}"
             raise NoSpectralGap(split.format(kept, cut) + gap)
     return keep
-
-
-def structural_residuals(ph: PhPencil) -> tuple[float, float, float, float, int]:
-    """(symmetry residual, min PSD eigenvalue, max dissipativity eigenvalue,
-    cond(Q), rank(E)) -- the raw numbers behind the pass/fail flags."""
-    EsQ = ph.E.conj().T @ ph.Q
-    sym = spectral_norm(EsQ - EsQ.conj().T)
-    psd_min = float(np.min(np.linalg.eigvalsh(_hermitian_part(EsQ)))) if ph.n else 0.0
-    dis_max = float(np.max(np.linalg.eigvalsh(_hermitian_part(ph.A)))) if ph.n else 0.0
-    sq = np.linalg.svd(ph.Q, compute_uv=False)
-    cond_q = float(sq[0] / sq[-1]) if sq[-1] > 0.0 else np.inf
-    se = np.linalg.svd(ph.E, compute_uv=False)
-    return sym, psd_min, dis_max, cond_q, _numerical_rank(se)
 
 
 def normalize(ph: PhPencil) -> MatrixPencil:
@@ -296,8 +276,15 @@ def verify_ph_structure(
     here unless given, the estimates on (omega, 1e3 * omega].  Failures never
     raise; a quantity that cannot be computed is None, with a failure message.
     """
-    sym, psd_min, dis_max, cond_q, e_rank = structural_residuals(ph)
-    scale_eq = max(spectral_norm(ph.E) * spectral_norm(ph.Q), 1e-300)
+    # the raw numbers behind the pass/fail flags; ||E|| ||Q|| from the singular values of E and Q
+    EsQ = ph.E.conj().T @ ph.Q
+    sym = spectral_norm(EsQ - EsQ.conj().T)
+    psd_min = float(np.min(np.linalg.eigvalsh(_hermitian_part(EsQ)))) if ph.n else 0.0
+    dis_max = float(np.max(np.linalg.eigvalsh(_hermitian_part(ph.A)))) if ph.n else 0.0
+    sq = np.linalg.svd(ph.Q, compute_uv=False)
+    cond_q = float(sq[0] / sq[-1]) if sq[-1] > 0.0 else np.inf
+    se = np.linalg.svd(ph.E, compute_uv=False)
+    scale_eq = max(float(se[0] * sq[0]), 1e-300)
     scale_a = max(spectral_norm(ph.A), 1e-300)
     symmetry_ok = sym <= TAU_SYM * scale_eq
     psd_ok = psd_min >= -TAU_PSD * scale_eq
@@ -337,8 +324,8 @@ def verify_ph_structure(
 
     return PhReport(
         symmetry_residual=sym, psd_min_eig=psd_min, dissipativity_max_eig=dis_max, q_condition=cond_q,
-        e_rank=e_rank, symmetry_ok=symmetry_ok, psd_ok=psd_ok, dissipativity_ok=dissipativity_ok, q_ok=q_ok,
-        structure_ok=structure_ok, T=T, c_T=c_T, S=S, c_S=c_S, real_index=real_index,
+        e_rank=_numerical_rank(se), symmetry_ok=symmetry_ok, psd_ok=psd_ok, dissipativity_ok=dissipativity_ok,
+        q_ok=q_ok, structure_ok=structure_ok, T=T, c_T=c_T, S=S, c_S=c_S, real_index=real_index,
         complex_index=complex_index, subspace_conditions=subspace, failures=tuple(failures),
     )
 

@@ -3,14 +3,16 @@
 A pencil file stores complex matrices as nested lists with each entry a
 two-element array [re, im].  It is an object with keys "n", "E", "A" and
 optionally "Q"; when Q is present the file describes the triple (E, A, Q)
-of d/dt Ex = AQx.  A report keeps its arrays in a sidecar ``<stem>.npz``
-(see ``save_json``).  All writes are atomic (temp file + rename) and
+of d/dt Ex = AQx.  A report section is a result object: the dict of its
+dataclass fields, with its arrays in a sidecar ``<stem>.npz`` (see
+``save_json``).  All writes are atomic (temp file + rename) and
 deterministic: same data, same bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -21,9 +23,8 @@ from urllib.parse import quote
 import numpy as np
 
 from .core import MatrixPencil
-from .phdae import PhPencil, PhReport
+from .phdae import PhPencil
 from .solver import Trajectory
-from .weierstrass import WeierstrassDecomposition
 
 __all__ = [
     "matrix_to_json",
@@ -32,8 +33,7 @@ __all__ = [
     "pencil_from_dict",
     "save_pencil",
     "load_pencil",
-    "decomposition_to_dict",
-    "ph_report_to_dict",
+    "result_fields",
     "save_json",
     "save_trajectory_csv",
     "load_trajectory_csv",
@@ -99,10 +99,18 @@ def atomic_write_text(path: str, text: str | bytes) -> None:
         raise
 
 
+def result_fields(result) -> dict:
+    """The report section of a result object: its dataclass fields by name."""
+    return {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
+
+
 def _jsonable(obj, path: tuple, sidecar: str, arrays: dict):
-    """``obj`` with numpy scalars as numbers, complex numbers as [re, im], and each ndarray moved into
-    ``arrays`` with a reference to it left in its place.  The member name is the path of keys and
-    indices to the array, each percent-encoded ('.' too) and joined by '.', so no two paths share one."""
+    """``obj`` with dataclass instances as ``result_fields``, numpy scalars as numbers, complex numbers
+    as [re, im], and each ndarray moved into ``arrays`` with a reference to it left in its place.  The
+    member name is the path of keys and indices to the array, each percent-encoded ('.' too) and
+    joined by '.', so no two paths share one."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = result_fields(obj)
     if isinstance(obj, np.ndarray):
         member = ".".join(quote(str(key), safe="").replace(".", "%2E") for key in path) + ".npy"
         arrays[member] = obj
@@ -147,15 +155,6 @@ def save_pencil(path: str, obj: MatrixPencil | PhPencil, provenance: dict | None
 def load_pencil(path: str) -> MatrixPencil | PhPencil:
     with open(path) as fh:
         return pencil_from_dict(json.load(fh))
-
-
-def decomposition_to_dict(decomp: WeierstrassDecomposition) -> dict:
-    keys = "n d1 d2 nilpotency_index A1 N T_L T_R P R reconstruction_residual mu mu_condition_estimate cond_T_L cond_T_R"
-    return {key: getattr(decomp, key) for key in keys.split()}
-
-
-def ph_report_to_dict(report: PhReport) -> dict:
-    return {**report.as_dict(), "T": report.T, "S": report.S}
 
 
 def _fmt(v: float) -> str:

@@ -69,7 +69,7 @@ class TestRadiality:
     def test_scalar_contraction_supported(self):
         ev = verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, omega=1e-6, box_radius=10.0)
         assert ev.verdict == "supported"
-        assert ev.max_ratio == pytest.approx(1.0, abs=0.1)
+        assert ev.C == pytest.approx(1.0, abs=0.1)
 
     def test_zero_dynamics_orders(self):
         model = build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0])
@@ -95,7 +95,7 @@ class TestRadiality:
         p = MatrixPencil(np.eye(1), [[-1.0]])
         a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
         b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
-        assert a.max_ratio == b.max_ratio
+        assert a.C == b.C
 
     def test_one_real_qz_for_both_boxes(self, monkeypatch):
         calls = []
@@ -203,7 +203,7 @@ class TestRadialityRatio:
         capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, num_samples=10)
         assert (lanczos.lanczos_steps, lanczos.svd_fallbacks) == (8, 0)
         assert (capped.lanczos_steps, capped.svd_fallbacks) == (2, 40)  # 2 products, 10 samples, 2 boxes
-        assert capped.max_ratio == pytest.approx(lanczos.max_ratio, rel=1e-13)
+        assert capped.C == pytest.approx(lanczos.C, rel=1e-13)
         assert capped.max_ratio_wide == pytest.approx(lanczos.max_ratio_wide, rel=1e-13)
 
     @pytest.mark.parametrize("d2", [2, 3])
@@ -286,7 +286,7 @@ class TestRadialityRatio:
 
         monkeypatch.setattr(indices, "_shift_inverse", lu_getri_inverse)
         ref = verify_radiality(pencil, p, 0.5, box_radius, num_samples=60)
-        assert (fast.max_ratio, fast.max_ratio_wide) == (ref.max_ratio, ref.max_ratio_wide)
+        assert (fast.C, fast.max_ratio_wide) == (ref.C, ref.max_ratio_wide)
 
     def test_shift_inverse_of_every_block_pivot(self):
         # a real QZ form with 2x2 blocks whose subdiagonal entry is the pivot at some shifts and not at others

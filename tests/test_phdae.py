@@ -1,5 +1,7 @@
 """Port-Hamiltonian structure verification, T/S constructions, dissipation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ class TestPhPencil:
     def test_pencil_is_e_aq(self):
         ph = PhPencil(np.eye(2), -np.eye(2), np.diag([2.0, 3.0]))
         assert np.allclose(ph.pencil.A, np.diag([-2.0, -3.0]))
+        assert ph.pencil is ph.pencil  # formed once, so a QZ cached on it is shared
 
 
 class TestVerifyStructure:
@@ -73,7 +76,7 @@ class TestVerifyStructure:
         reused = verify_ph_structure(
             ph, decomp=decompose(ph.pencil), estimates=(full.real_index, full.complex_index)
         )
-        assert reused.as_dict() == full.as_dict()
+        assert replace(reused, T=None, S=None) == replace(full, T=None, S=None)
 
     def test_random_ph_subspace_conditions_computed(self):
         # their index-1 N blocks are rounding noise, which decompose once refused

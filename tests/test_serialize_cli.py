@@ -1,5 +1,6 @@
 """File formats and the command-line pipeline."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -16,7 +17,10 @@ from hypothesis import strategies as st
 import daepencil
 import daepencil.cli
 import daepencil.solver
-from daepencil import MatrixPencil, NanorodParams, PhPencil, Trajectory, build_nanorod
+from daepencil import (
+    GrowthEstimate, MatrixPencil, NanorodParams, PhPencil, PhReport, RadialityEvidence, Trajectory,
+    WeierstrassDecomposition, build_nanorod,
+)
 from daepencil.cli import main
 from daepencil.errors import OverflowRisk
 from daepencil.serialize import (
@@ -96,6 +100,8 @@ class TestTrajectoryCsv:
 def _jsonable(obj, written):
     """The reference conversion: save_json must write json.dumps(_jsonable(data, written), indent=2,
     sort_keys=True), where ``written`` is the parsed JSON and supplies each array's reference."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v, written[k]) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -115,6 +121,8 @@ def _jsonable(obj, written):
 
 def _arrays_with_references(obj, written):
     """(array, its reference in ``written``) for every ndarray of ``obj``."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, np.ndarray):
         return [(obj, written)]
     if isinstance(obj, dict):
@@ -156,8 +164,32 @@ _reports = st.dictionaries(
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class _Stage:
+    shift: complex
+    matrix: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class _Result:
+    """A result object: its fields are reported, its property is not."""
+
+    stage: _Stage
+    matrix: np.ndarray
+    mu: complex
+    flags: tuple
+    missing: None
+
+    @property
+    def size(self) -> int:
+        return self.matrix.size
+
+
 class TestSaveJson:
     @given(data=_reports)
+    @example(
+        data=_Result(_Stage(np.complex128(-0.0 + 1j), 1j * np.eye(2)), np.arange(3.0), 1 + 2j, (True, None), None)
+    )
     @example(
         data={
             "n\u00e4me": "\u00fcn\u00efc\u00f6de \u2713",
@@ -349,6 +381,16 @@ class TestCliPipeline:
                               text=True, timeout=120)
         assert done.returncode == 0 and done.stdout.startswith("usage: daepencil")
 
+    def test_cli_import_loads_no_public_scipy_subpackage_but_linalg(self):
+        # start-up cost: mild_solution_residual has its own Simpson rule to keep scipy.integrate out
+        src = os.path.dirname(os.path.dirname(daepencil.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", "import sys, daepencil.cli; print(*sys.modules)"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        loaded = {name.split(".")[1] for name in done.stdout.split() if name.startswith("scipy.")}
+        assert {name for name in loaded if not name.startswith("_")} - {"version"} == {"linalg"}
+
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)]) == 2
 
@@ -390,14 +432,20 @@ class TestCliPipeline:
         code = main(["simulate", scalar_pencil_file, "--x0", "1,2", "--output-dir", str(tmp_path)])
         assert code == 2
 
-    def test_nonfinite_x0_exit_2(self, tmp_path, scalar_pencil_file):
+    def test_nonfinite_x0_exit_2(self, tmp_path, capsys, scalar_pencil_file):
         out = str(tmp_path / "out")
-        assert main(["simulate", scalar_pencil_file, "--x0", "nan", "--output-dir", out]) == 2
+        for x0 in ("nan", "inf", "-inf", "1+infi"):
+            assert main(["simulate", scalar_pencil_file, f"--x0={x0}", "--output-dir", out]) == 2
+            assert json.loads(capsys.readouterr().err)["message"] == "x0 contains NaN or Inf entries"
         x0_file = str(tmp_path / "x0.json")
         with open(x0_file, "w") as fh:
             json.dump([[float("inf"), 0.0]], fh)
         assert main(["simulate", scalar_pencil_file, "--x0-file", x0_file, "--output-dir", out]) == 2
         assert not os.path.exists(os.path.join(out, "simulate.json"))
+
+    def test_malformed_x0_entry_named_exit_2(self, tmp_path, capsys, scalar_pencil_file):
+        assert main(["simulate", scalar_pencil_file, "--x0", "1+2k", "--output-dir", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == "--x0 entry '1+2k' is not a complex number"
 
     def test_simulate_hamiltonian_failure_exit_1(self, tmp_path):
         # E*Q = -1 is not positive semidefinite, so H(x) = -|x|^2 is rejected
@@ -546,6 +594,30 @@ class TestAnalyzeSharesWork:
         assert report["ph"]["real_index"] == report["indices"]["real"]
         assert report["ph"]["complex_index"] == report["indices"]["complex"]
         assert report["ph"]["real_index"]["omega"] == report["indices"]["config"]["omega"]
+
+
+class TestReportSections:
+    def test_sections_are_result_fields(self, tmp_path, ph_pencil_file):
+        # each section is the fields of its result object; a report of one result adds the seed
+        def fields(cls):
+            return {field.name for field in dataclasses.fields(cls)}
+
+        out = str(tmp_path)
+        assert main(["decompose", ph_pencil_file, "--output-dir", out]) == 0
+        assert main(["verify-ph", ph_pencil_file, "--output-dir", out]) == 0
+        assert main(["analyze", ph_pencil_file, "--output-dir", out, "--num-samples", "10"]) == 0
+        decomposition, ph, analyze = (
+            json.load(open(os.path.join(out, name))) for name in ("decompose.json", "ph_report.json", "analyze.json")
+        )
+        assert set(decomposition) == fields(WeierstrassDecomposition) | {"seed"}
+        assert set(ph) == fields(PhReport) | {"seed"}
+        assert set(analyze["decomposition"]) == fields(WeierstrassDecomposition)
+        assert set(analyze["ph"]) == fields(PhReport)
+        assert set(analyze["indices"]["radiality"]) == fields(RadialityEvidence)
+        indices, ph_analyze = analyze["indices"], analyze["ph"]
+        for estimate in (indices["real"], indices["complex"], ph["real_index"], ph["complex_index"],
+                         ph_analyze["real_index"], ph_analyze["complex_index"]):
+            assert set(estimate) == fields(GrowthEstimate)
 
 
 class TestOneQzPerCall:

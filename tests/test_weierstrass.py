@@ -27,7 +27,7 @@ from daepencil import weierstrass
 from daepencil.errors import (
     DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence, PencilError,
 )
-from daepencil.serialize import decomposition_to_dict
+from daepencil.serialize import result_fields
 
 
 def _reconstruction_residual(pencil, decomp):
@@ -121,7 +121,7 @@ class TestDecompose:
         assert d.mu_condition_estimate == 1.0 / rcond
         assert abs(d.mu) <= 4 * (spectral_norm(pencil.E) + spectral_norm(pencil.A))
         keys = {"mu", "mu_condition_estimate", "cond_T_L", "cond_T_R"}
-        assert keys <= set(decomposition_to_dict(d)) and all(decomposition_to_dict(d)[k] is not None for k in keys)
+        assert keys <= set(result_fields(d)) and all(result_fields(d)[k] is not None for k in keys)
 
     @pytest.mark.parametrize("d1", [0, 1])
     def test_index_six_split_from_rank_profile(self, d1):
