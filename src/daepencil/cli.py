@@ -1,10 +1,11 @@
 """Command-line interface: analyze, decompose, indices, simulate, verify-ph, example.
 
 Exit codes: 0 success, 1 a verification failed (structural check or
-admissibility), 2 input error.  Errors are emitted as JSON objects on
-standard error.  Option precedence: command-line flags > config file
-(JSON object keyed by option name) > built-in defaults.  Every report
-embeds the seed and the effective configuration.
+admissibility), 2 input error.  Each error, a usage error too, is emitted
+as one JSON object on standard error.  Option precedence: command-line
+flags > config file (JSON object keyed by option name) > built-in defaults.
+Every report embeds the seed; the indices, analyze and simulate reports
+embed the effective configuration, with the BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -57,6 +59,11 @@ def _load_input(path: str):
     return load_pencil(path)
 
 
+def _blas_threads() -> dict:
+    """The BLAS thread counts this process was given, None where unset: reports differ across them."""
+    return {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _dynamics_pencil(obj) -> MatrixPencil:
     return obj.pencil if isinstance(obj, PhPencil) else obj
 
@@ -99,6 +106,7 @@ def _index_report(
             "lambda_max": lambda_max,
             "num_points": args.num_points,
             "num_lines": args.num_lines,
+            "blas_threads": _blas_threads(),
         },
     }
     return report, real, cplx
@@ -197,6 +205,7 @@ def _cmd_simulate(args) -> int:
             "quad_tol": args.quad_tol,
             "t_final": args.t_final,
             "num_steps": args.num_steps,
+            "blas_threads": _blas_threads(),
         },
         "admissible": member,
         "admissibility_residual": adm_residual,
@@ -292,8 +301,18 @@ def _add_estimator_opts(sub, config):
     _option(sub, config, "--num-samples", int, 200)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subparsers too, whose usage errors raise ValueError for ``main`` to emit."""
+
+    def error(self, message: str):
+        flag = re.match(r"argument (--[\w-]+): expected one argument", message)
+        if flag:  # argparse reads a value that starts with '-', as in --x0 -1,0, as an option
+            message += f"; a value that starts with '-' is given as {flag[1]}=..."
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser(config: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="daepencil",
         description="Analyze and solve linear DAE pencils d/dt Ex = Ax (optionally d/dt Ex = AQx).",
     )
@@ -342,11 +361,11 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(prog="daepencil", add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
     config: dict = {}
     try:
+        known, _ = pre.parse_known_args(argv)
         if known.config is not None:
             with open(known.config) as fh:
                 config = json.load(fh)
@@ -356,14 +375,13 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         _emit_error("ConfigError", str(exc))
         return EXIT_INPUT_ERROR
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
 
     try:
+        args = parser.parse_args(argv)  # only --help exits; usage errors raise ValueError
         os.makedirs(args.output_dir, exist_ok=True)
         return args.func(args)
+    except SystemExit:  # --help
+        return EXIT_OK
     except InvalidParams as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_INPUT_ERROR

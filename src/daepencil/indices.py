@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import factorial
+from numbers import Integral
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, qz
+from scipy.linalg import expm, get_lapack_funcs, qz
 
-from .core import MatrixPencil, _golub_kahan, resolvent_apply, resolvent_norms, spectral_norm
-from .errors import ShiftOutsideResolventSet
-from .solver import QuadratureConfig, bromwich_integral
+from .core import MatrixPencil, _golub_kahan, as_complex_matrix, resolvent_norms, spectral_norm
+from .errors import OverflowRisk, ShiftOutsideResolventSet
 
 __all__ = [
     "GrowthEstimate",
@@ -273,40 +272,21 @@ def integrated_semigroup_order(p_c_res: int) -> int:
     return p_c_res + 2
 
 
-def integrated_semigroup_sample(
-    A1: np.ndarray,
-    n: int,
-    t: float,
-    x: np.ndarray,
-    quad: QuadratureConfig | None = None,
-) -> np.ndarray:
-    """Evaluate the (n-1)-times integrated semigroup S(t)x of A1.
-
-    Inverts the Laplace transform lambda^{-(n-1)} (lambda I - A1)^{-1} x
-    along a vertical line right of the spectrum.  The integrand's decay is
-    boosted by splitting off the leading terms of the Neumann expansion,
-    whose inverse transforms are monomials in t.
-    """
-    A1 = np.asarray(A1, dtype=complex)
-    x = np.asarray(x, dtype=complex).reshape(A1.shape[0])
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    quad = quad or QuadratureConfig()
-    omega = max(float(np.max(np.linalg.eigvals(A1).real)), 0.0) + 1.0
-
-    # (lam - A)^{-1} = sum_{j<J} A^j lam^{-j-1} + lam^{-J} A^J (lam - A)^{-1};
-    # inverse transform of lam^{-m} is t^{m-1}/(m-1)!.
-    J = max(0, 4 - n)
-    result = np.zeros_like(x)
-    Ajx = x.copy()
-    for j in range(J):
-        m = n + j
-        result = result + (t ** (m - 1) / factorial(m - 1)) * Ajx
-        Ajx = A1 @ Ajx
-    pencil = MatrixPencil(np.eye(A1.shape[0]), A1)
-
-    def integrand(lams: np.ndarray) -> np.ndarray:
-        return (lams ** (-(n - 1) - J))[:, None] * resolvent_apply(pencil, lams, Ajx)
-
-    tail = bromwich_integral(integrand, omega, np.array([t]), quad)[0][0]
-    return result + tail
+def integrated_semigroup_sample(A1: np.ndarray, n: int, t: float, x: np.ndarray) -> np.ndarray:
+    """The (n-1)-times integrated semigroup of A1: S(t)x = t^k phi_k(t A1) x, k = n - 1, and exp(t A1) x at n = 1.
+    It is the last column of the top-right block of exp(t W), W = [[A1, x e_1^T], [0, J_k]] with J_k the k x k
+    upper shift (Van Loan, IEEE Trans. Automat. Control 23, 1978): no inverse of A1, so A1 may be singular."""
+    A1 = as_complex_matrix(A1)
+    m = len(A1)
+    if A1.shape != (m, m) or isinstance(n, bool) or not isinstance(n, Integral) or n < 1 or not np.isfinite(t):
+        raise ValueError(f"need a square A1, an integer n >= 1 and a finite t, got {A1.shape}, {n!r} and {t!r}")
+    x = as_complex_matrix(np.reshape(x, (m, 1)))
+    scale = np.linalg.norm(x) or 1.0  # S(t)x is linear in x; a unit x keeps W's norm that of A1 and J_k
+    W = np.zeros((m + n - 1, m + n - 1), dtype=complex)
+    W[:m, :m], W[:m, m:m + 1], W[m:, m:] = A1, x / scale, np.eye(n - 1, k=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, as solver.matrix_exponential does
+        X = expm(t * W)
+        Sx = X[:m, :m] @ x[:, 0] if n == 1 else scale * X[:m, -1]
+    if not np.isfinite(Sx).all():
+        raise OverflowRisk(f"S(t)x at t = {t!r} overflowed double precision")
+    return Sx

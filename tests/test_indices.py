@@ -1,11 +1,18 @@
 """Resolvent-growth index estimation, radiality sampling, integrated semigroups."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_regular_pencil, random_weierstrass_blocks, random_well_conditioned
+from conftest import (
+    random_complex,
+    random_regular_pencil,
+    random_stable,
+    random_weierstrass_blocks,
+    random_well_conditioned,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +34,7 @@ from daepencil import (
 from daepencil import core, indices
 from daepencil.cli import main
 from daepencil.core import _golub_kahan
-from daepencil.errors import ShiftOutsideResolventSet
+from daepencil.errors import OverflowRisk, ShiftOutsideResolventSet
 from daepencil.indices import _max_radiality_ratio, _radiality_form
 
 N2 = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -518,6 +525,28 @@ class TestEstimateInvariance:
             assert estimate_resolvent_index_real(p, 0.5, 1e3).index == ref
 
 
+JORDAN_0 = np.array([[0.0, 1.0], [0.0, 0.0]])  # singular: no closed form through A1^{-1}
+NON_NORMAL = np.array([[-1.0, 1e3], [0.0, -1.0]])
+
+
+def _mp_integrated_semigroup(mpmath, A1, n, t, x):
+    """S(t)x from a 40-digit mpmath ``expm`` of the augmented matrix W = [[A1, x e_1^T], [0, J_{n-1}]]."""
+    m, k = len(A1), n - 1
+    with mpmath.workdps(40):
+        W = mpmath.zeros(m + k, m + k)
+        for i in range(m):
+            for j in range(m):
+                W[i, j] = mpmath.mpc(complex(A1[i, j]))
+            if k:
+                W[i, m] = mpmath.mpc(complex(x[i]))
+        for i in range(m, m + k - 1):
+            W[i, i + 1] = 1
+        X = mpmath.expm(mpmath.mpf(t) * W)
+        if k:
+            return np.array([complex(X[i, m + k - 1]) for i in range(m)])
+        return np.array([complex(mpmath.fsum(X[i, j] * mpmath.mpc(complex(x[j])) for j in range(m))) for i in range(m)])
+
+
 class TestIntegratedSemigroup:
     def test_order_formula(self):
         assert integrated_semigroup_order(0) == 2
@@ -541,16 +570,64 @@ class TestIntegratedSemigroup:
         with pytest.raises(ValueError):
             integrated_semigroup_sample(np.array([[-1.0]]), 0, 1.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("n", [-1, 1.5, 2.0, True, "2"])
+    def test_n_is_an_integer(self, n):
+        with pytest.raises(ValueError, match="integer n >= 1"):
+            integrated_semigroup_sample(np.array([[-1.0]]), n, 1.0, np.array([1.0]))
+
+    @pytest.mark.parametrize("A1, x", [
+        ([[np.nan]], [1.0]), ([[np.inf]], [1.0]), ([[-1.0]], [np.nan]), ([[-1.0]], [-np.inf]),
+        ([[-1.0, 0.0]], [1.0]), ([-1.0], [1.0]), ([[-1.0]], [1.0, 2.0]),
+    ])
+    def test_operands_validated(self, A1, x):
+        with pytest.raises(ValueError):
+            integrated_semigroup_sample(A1, 2, 1.0, x)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_t_validated(self, t):
+        with pytest.raises(ValueError, match="finite t"):
+            integrated_semigroup_sample(np.array([[-1.0]]), 2, t, np.array([1.0]))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_overflow_refused(self, n):
+        with pytest.raises(OverflowRisk):
+            integrated_semigroup_sample(np.array([[800.0]]), n, 1.0, np.array([1.0]))
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for A1 in (JORDAN_0, NON_NORMAL, random_stable(rng, 3)):
+            # S(t)x is linear in x; a large x must not cost accuracy
+            for x in (random_complex(rng, len(A1)), 1e15 * random_complex(rng, len(A1))):
+                for n, t in itertools.product(range(1, 5), (0.3, 1.0, 2.5)):
+                    ref = _mp_integrated_semigroup(mpmath, A1, n, t, x)
+                    out = integrated_semigroup_sample(A1, n, t, x)
+                    worst = max(worst, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
+        assert worst <= 1e-13
+
+    def test_integrates_the_previous_order(self):
+        # S_{k+1}(t) = integral over [0, t] of S_k: (k+1)-times integrated from k-times integrated
+        rng = np.random.default_rng(4)
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        worst = 0.0
+        for A1 in (np.zeros((2, 2)), JORDAN_0, NON_NORMAL, rng.standard_normal((5, 5))):
+            x = random_complex(rng, len(A1))
+            for n in range(1, 5):
+                for t in (0.5, 2.0):
+                    integral = sum(0.5 * t * w * integrated_semigroup_sample(A1, n, 0.5 * t * (s + 1.0), x)
+                                   for s, w in zip(nodes, weights))
+                    out = integrated_semigroup_sample(A1, n + 1, t, x)
+                    worst = max(worst, float(np.linalg.norm(out - integral) / np.linalg.norm(out)))
+        assert worst <= 1e-12
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_laplace_identity(self, n):
         # (lam I - A)^{-1} x = lam^{n-1} * integral of exp(-lam t) S(t) x
-        from daepencil import QuadratureConfig
-
         A1 = np.array([[-1.0, 0.5], [0.0, -2.0]])
         x = np.array([1.0, -1.0])
         lam = 1.0 + 1.0  # omega + 1 with omega = max(Re spec, 0) + 1 = 1
-        quad = QuadratureConfig(tolerance=1e-7)
-        # composite Gauss-Legendre in t: spectral accuracy with few samples
+        # composite Gauss-Legendre in t: spectral accuracy with few samples; the cut at t = 9 sets the floor
         gx, gw = np.polynomial.legendre.leggauss(6)
         edges = np.linspace(0.0, 9.0, 13)
         integral = np.zeros(2, dtype=complex)
@@ -558,9 +635,14 @@ class TestIntegratedSemigroup:
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             for xi, wi in zip(gx, gw):
                 t = mid + half * xi
-                integral += half * wi * np.exp(-lam * t) * integrated_semigroup_sample(
-                    A1, n, t, x, quad=quad
-                )
+                integral += half * wi * np.exp(-lam * t) * integrated_semigroup_sample(A1, n, t, x)
         lhs = np.linalg.solve(lam * np.eye(2) - A1, x)
         rhs = lam ** (n - 1) * integral
-        assert np.linalg.norm(lhs - rhs) <= 1e-4 * np.linalg.norm(lhs)
+        assert np.linalg.norm(lhs - rhs) <= 1e-6 * np.linalg.norm(lhs)
+
+    def test_indices_binds_no_solver_name(self):
+        # the sampler needs no quadrature: indices imports nothing from the solver module
+        from daepencil import solver
+
+        assert not [name for name, obj in vars(indices).items()
+                    if obj is solver or getattr(obj, "__module__", None) == solver.__name__]

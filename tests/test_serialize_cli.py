@@ -506,6 +506,44 @@ class TestCliPipeline:
         open(cfg, "w").write("[1,2]")
         assert main(["--config", cfg, "decompose", scalar_pencil_file]) == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "{input}", "--x0", "-1,0"],
+         "daepencil simulate: argument --x0: expected one argument; a value that starts with '-' is given as --x0=..."),
+        (["indices", "{input}", "--num-points", "abc"],
+         "daepencil indices: argument --num-points: invalid int value: 'abc'"),
+        (["bogus"], "daepencil: argument command: invalid choice: 'bogus'"),
+        ([], "daepencil: the following arguments are required: command"),
+        (["--config"], "daepencil: argument --config: expected one argument"),
+    ], ids=["negative-x0", "bad-int", "unknown-command", "no-command", "no-config-path"])
+    def test_usage_error_is_one_json_object_exit_2(self, tmp_path, capsys, scalar_pencil_file, args, message):
+        argv = [a.format(input=scalar_pencil_file) for a in args]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")] if argv else argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["message"].startswith(message)
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"]])
+    def test_help_exit_0(self, capsys, args):
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: daepencil") and err == ""
+
+    def test_reports_with_a_config_record_blas_threads(self, tmp_path, monkeypatch, scalar_pencil_file):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
+        out = str(tmp_path)
+        assert main(["indices", scalar_pencil_file, "--output-dir", out, "--num-samples", "10"]) == 0
+        assert main(["analyze", scalar_pencil_file, "--output-dir", out, "--num-samples", "10"]) == 0
+        assert main(["simulate", scalar_pencil_file, "--x0", "1", "--output-dir", out]) == 0
+        indices_report, analyze, simulate = (
+            json.load(open(os.path.join(out, name))) for name in ("indices.json", "analyze.json", "simulate.json")
+        )
+        for config in (indices_report["config"], analyze["indices"]["config"], simulate["config"]):
+            assert config["blas_threads"] == expected
+
 
 def _count_calls(monkeypatch, names):
     """Count calls of daepencil functions, patched wherever they were imported."""
