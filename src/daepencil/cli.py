@@ -53,12 +53,6 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
-def _load_input(path: str):
-    if path is None:
-        raise ValueError("this command requires an input pencil file")
-    return load_pencil(path)
-
-
 def _blas_threads() -> dict:
     """The BLAS thread counts this process was given, None where unset: reports differ across them."""
     return {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -113,14 +107,14 @@ def _index_report(
 
 
 def _cmd_decompose(args) -> int:
-    obj = _load_input(args.input)
+    obj = load_pencil(args.input)
     report = {**result_fields(decompose(_dynamics_pencil(obj))), "seed": args.seed}
     save_json(os.path.join(args.output_dir, "decompose.json"), report)
     return EXIT_OK
 
 
 def _cmd_indices(args) -> int:
-    obj = _load_input(args.input)
+    obj = load_pencil(args.input)
     pencil = _dynamics_pencil(obj)
     report = _index_report(args, pencil, decompose(pencil))[0]
     save_json(os.path.join(args.output_dir, "indices.json"), report)
@@ -128,7 +122,7 @@ def _cmd_indices(args) -> int:
 
 
 def _cmd_verify_ph(args) -> int:
-    obj = _load_input(args.input)
+    obj = load_pencil(args.input)
     if not isinstance(obj, PhPencil):
         raise ValueError("verify-ph requires a pencil file with a Q matrix")
     report = verify_ph_structure(obj, omega=args.omega)
@@ -137,7 +131,7 @@ def _cmd_verify_ph(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    obj = _load_input(args.input)
+    obj = load_pencil(args.input)
     pencil = _dynamics_pencil(obj)
     try:
         decomp = decompose(pencil)  # finding a shift proves regularity
@@ -184,7 +178,7 @@ def _parse_x0(args, n: int) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    obj = _load_input(args.input)
+    obj = load_pencil(args.input)
     pencil = _dynamics_pencil(obj)
     x0 = _parse_x0(args, pencil.n)
     decomp = decompose(pencil)
@@ -258,7 +252,7 @@ def _cmd_example(args) -> int:
         obj = build_l2_example(params)
         provenance = {"model": "l2", "K": params.K}
         name = "l2.json"
-    elif args.model == "zero-dyn":
+    else:  # zero-dyn; argparse restricts the choices
         m = args.m
         if m < 2:
             raise ValueError("m must be at least 2")
@@ -266,8 +260,6 @@ def _cmd_example(args) -> int:
         obj = model.pencil
         provenance = {"model": "zero-dyn", "m": m}
         name = "zero_dyn.json"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown model {args.model}")
     provenance["seed"] = args.seed
     save_pencil(os.path.join(args.output_dir, name), obj, provenance)
     return EXIT_OK

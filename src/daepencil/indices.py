@@ -181,18 +181,21 @@ def _max_radiality_ratio(
     num_samples: int, rng: np.random.Generator,
 ) -> tuple[float, int, int]:
     # With (S, T) = _radiality_form(pencil), the inverse X = (x S - T)^{-1} at each shift x gives
-    # (I + X T) / x = (x S - T)^{-1} S and (I + T X) / x = S (x S - T)^{-1} by matrix products: the
-    # exact I keeps large x accurate, and unlike x E - A, index-3 products too.
+    # (I + X T) / x = (x S - T)^{-1} S and (I + T X) / x = S (x S - T)^{-1} by matrix products, the I and
+    # the 1/x applied in place: the exact I keeps large x accurate, and unlike x E - A, index-3 products too.
     (trtri,), ks = get_lapack_funcs(("trtri",), (S, T)), np.flatnonzero(np.diagonal(T, -1))
-    eye, worst, steps, fallbacks = np.eye(len(S)), 0.0, 0, 0
+    worst, steps, fallbacks = 0.0, 0, 0
     chunk = max(1, 2**22 // S.nbytes)  # samples whose 2 products fill a stack of at most about 8 MB
     stack, weights = np.empty((2 * chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
     for sample in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
         n = int(rng.integers(1, n_max + 1))
-        inverses = [_shift_inverse(S, T, ks, x, trtri) for x in lams]
-        right = reduce(np.matmul, [(eye + X @ T) / x for X, x in zip(inverses, lams)])
-        left = reduce(np.matmul, [(eye + T @ X) / x for X, x in zip(inverses, lams)])
+        factors = [(X @ T, T @ X) for X in (_shift_inverse(S, T, ks, x, trtri) for x in lams)]
+        for pair, x in zip(factors, lams):
+            for G in pair:
+                G.ravel()[:: len(S) + 1] += 1.0
+                G /= x
+        right, left = (reduce(np.matmul, products) for products in zip(*factors))
         i = sample % chunk
         stack[2 * i], stack[2 * i + 1] = (np.linalg.matrix_power(M, n) for M in (right, left))
         if not np.isfinite(stack[2 * i : 2 * i + 2]).all():

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MatrixPencil, as_complex_matrix, spectral_norm
+from .core import MatrixPencil, as_complex_matrix, probe_regularity, spectral_norm
 from .errors import NoSpectralGap, SingularQ
 from .indices import GrowthEstimate, estimate_resolvent_index_complex, estimate_resolvent_index_real
 from .solver import Trajectory
@@ -340,8 +340,6 @@ def random_ph_pencil(
     skew-Hermitian is dissipative by construction.  Resamples until the
     dynamics pencil (E, AQ) is regular.
     """
-    from .core import probe_regularity
-
     if not 0 <= rank_deficiency < n:
         raise ValueError("rank_deficiency must lie in [0, n)")
     rng = np.random.default_rng(seed)

@@ -20,7 +20,7 @@ import scipy.linalg
 from .core import (
     MatrixPencil, _invertible_shifts, as_complex_matrix, probe_regularity, spectral_norm,
 )
-from .errors import DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence
+from .errors import DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence, SingularShift
 
 __all__ = [
     "WeierstrassDecomposition",
@@ -53,6 +53,7 @@ class WeierstrassDecomposition:
     reconstruction_residual: float | None = None
     mu: complex | None = None
     mu_condition_estimate: float | None = None
+    rank_profile: tuple[int, ...] | None = None  # the ranks ``_gap_rank`` read for R(mu), R(mu)^2, ...
 
     @property
     def n(self) -> int:
@@ -115,7 +116,7 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
         raise IllConditionedTransform(f"no drawn shift is numerically invertible ({tried})")
     d1 = None
     try:
-        ran, ker, settle = _power_split(scipy.linalg.lu_solve(lu, pencil.E, check_finite=False))
+        ran, ker, settle, profile = _power_split(scipy.linalg.lu_solve(lu, pencil.E, check_finite=False))
         d1 = ran.shape[1]
         decomp = _decompose_at(pencil, ran, ker)
         if decomp.nilpotency_index != settle:
@@ -130,7 +131,7 @@ def decompose(pencil: MatrixPencil) -> WeierstrassDecomposition:
             raise IllConditionedTransform(f"reconstruction residual {residual:.3e} > {bound:.3e}")
     except (IllConditionedTransform, np.linalg.LinAlgError) as exc:
         raise IllConditionedTransform(f"split at shift mu = {mu:.6g} with d1 = {d1}: {exc}") from exc
-    return replace(decomp, reconstruction_residual=residual, mu=mu, mu_condition_estimate=cond)
+    return replace(decomp, reconstruction_residual=residual, mu=mu, mu_condition_estimate=cond, rank_profile=profile)
 
 
 def _gap_rank(sigma: np.ndarray, drop: float) -> int:
@@ -143,14 +144,14 @@ def _gap_rank(sigma: np.ndarray, drop: float) -> int:
     return int(gaps[0]) + 1 if len(gaps) else len(sigma)
 
 
-def _power_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bases of ran M^k and ker M^k for the first power k whose rank the next power repeats, and k.
+def _power_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
+    """Bases of ran M^k and ker M^k for the first power k whose rank the next power repeats, k, and the ranks.
 
-    Each power is normalised to unit norm by the values-only SVD of the
-    unnormalised product, and ``_gap_rank`` reads its rank from the same
-    singular values, with the last step ||X_{j-1} M|| over ||M|| as the drop;
-    only the returned power takes an SVD with vectors.  A rank of 0 returns at
-    once with k the power reached, a rank of n with k = 0, each with the identity.
+    Each power is normalised to unit norm by the values-only SVD of the unnormalised product, and
+    ``_gap_rank`` reads its rank from the same singular values, with the last step ||X_{j-1} M||
+    over ||M|| as the drop; only the returned power takes an SVD with vectors.  The ranks are those
+    read for M, M^2, ... up to the repeat.  A rank of 0 returns at once with k the power reached, a
+    rank of n with k = 0, each with the identity.
     """
     n = M.shape[0]
     sigma = np.linalg.svd(M, compute_uv=False)
@@ -158,12 +159,12 @@ def _power_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     X, step, ranks, last = base, 1.0, [], None
     for j in range(1, n + 1):
         r = _gap_rank(sigma / max(sigma[0], 1e-300), step)
-        if ranks and r == ranks[-1]:
-            U, _, Vh = np.linalg.svd(last)
-            return U[:, :r], Vh[r:, :].conj().T, j - 1
-        if r in (0, n):
-            return (*np.hsplit(np.eye(n, dtype=complex), [r]), j if r == 0 else 0)
         ranks.append(r)
+        if j > 1 and r == ranks[-2]:
+            U, _, Vh = np.linalg.svd(last)
+            return U[:, :r], Vh[r:, :].conj().T, j - 1, tuple(ranks)
+        if r in (0, n):
+            return (*np.hsplit(np.eye(n, dtype=complex), [r]), j if r == 0 else 0, tuple(ranks))
         last, X = X, X @ base
         sigma = np.linalg.svd(X, compute_uv=False)
         X, step = X / max(sigma[0], 1e-300), sigma[0]
@@ -254,13 +255,16 @@ def spectral_projectors(pencil: MatrixPencil, p: int, tol: float = 1e-8):
     P = lim (lambda (lambda E - A)^{-1} E)^{p+1} and
     R = lim (lambda E (lambda E - A)^{-1})^{p+1}, approximated on 12 geometric
     shifts, each factorised once, with one Richardson extrapolation level.
-    Raises NoConvergence when the extrapolated approximants are not Cauchy.
+    Raises SingularShift when a shift's LU has a zero pivot, and NoConvergence
+    when the extrapolated approximants are not Cauchy.
     """
     E, A = pencil.E, pencil.A
     lam0 = 10.0 * (1.0 + spectral_norm(A) / max(spectral_norm(E), 1e-300))
-    Ps, Rs = [], []
+    Ps, Rs, getrf = [], [], scipy.linalg.get_lapack_funcs("getrf", (E,))
     for lam in lam0 * 2.0 ** np.arange(12):
-        lu = scipy.linalg.lu_factor(pencil.shifted(lam))
+        *lu, info = getrf(pencil.shifted(lam))
+        if info > 0:  # LAPACK numbers the pivots from 1
+            raise SingularShift(f"lambda = {lam:.17g} is outside the resolvent set: pivot {info} of its LU is 0")
         right = scipy.linalg.lu_solve(lu, E)
         left = scipy.linalg.lu_solve(lu, E.T, trans=1).T
         Ps.append(np.linalg.matrix_power(lam * right, p + 1))

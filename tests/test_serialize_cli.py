@@ -219,7 +219,7 @@ class TestSaveJson:
             infos = archive.infolist()
         assert [i.filename for i in infos] == sorted({ref["member"] for _, ref in pairs})
         assert len(infos) == len(pairs)
-        assert {(i.compress_type, i.date_time) for i in infos} == {(zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))}
+        assert {(i.compress_type, i.date_time) for i in infos} == {(zipfile.ZIP_DEFLATED, (1980, 1, 1, 0, 0, 0))}
         with np.load(out / "out.npz", allow_pickle=False) as sidecar:
             for array, ref in pairs:
                 stored = sidecar[ref["member"]]
@@ -282,6 +282,15 @@ class TestCliPipeline:
         assert main(["verify-ph", pencil_file, "--output-dir", out]) == 0
         report = json.load(open(os.path.join(out, "ph_report.json")))
         assert report["structure_ok"] is True
+
+    def test_analyze_sidecar_deflated(self, tmp_path):
+        # the nanorod's arrays deflate to 0.57 of their .npy bytes; a sidecar stored uncompressed reads 1.0
+        out = str(tmp_path)
+        assert main(["example", "nanorod", "--n-grid", "10", "--output-dir", out]) == 0
+        assert main(["analyze", os.path.join(out, "nanorod.json"), "--output-dir", out, "--num-samples", "20"]) == 0
+        with zipfile.ZipFile(os.path.join(out, "analyze.npz")) as archive:
+            npy_bytes = sum(info.file_size for info in archive.infolist())
+        assert os.path.getsize(os.path.join(out, "analyze.npz")) <= 0.65 * npy_bytes
 
     def test_simulate_inadmissible_exit_1(self, tmp_path):
         out = str(tmp_path)

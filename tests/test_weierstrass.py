@@ -25,7 +25,7 @@ from daepencil import (
 )
 from daepencil import weierstrass
 from daepencil.errors import (
-    DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence, PencilError,
+    DegeneratePairing, IllConditionedTransform, IrregularPencil, NoConvergence, PencilError, SingularShift,
 )
 from daepencil.serialize import result_fields
 
@@ -177,6 +177,23 @@ class TestDecompose:
                 print(f"  {count:3d} refused: {reason}")
         assert wrong == []
         assert solved.total() >= 570
+
+    def test_rank_profile_nanorod(self):
+        # n = 20, d1 = 12, and N has rank 4 with N^2 = 0: R(mu) has rank d1 + 4 and its powers rank
+        # d1, so the ranks settle at power 2, the nilpotency index
+        d = decompose(build_nanorod(NanorodParams(n_grid=4)).pencil)
+        assert d.rank_profile == (16, 12, 12) and d.nilpotency_index == 2
+        assert result_fields(d)["rank_profile"] == (16, 12, 12)
+
+    def test_rank_profile_jordan_block(self):
+        # (blkdiag(I_6, J_3), blkdiag(A1, I_3)) under transforms of condition 10: R(mu)^j has rank
+        # d1 + rank J_3^j, so the ranks fall by one a power to d1 and settle at the block size
+        rng = np.random.default_rng(5)
+        A1 = random_complex(rng, 6, 6) / np.sqrt(12.0)
+        E0, A0 = scipy.linalg.block_diag(np.eye(6), np.eye(3, k=1)), scipy.linalg.block_diag(A1, np.eye(3))
+        G, H = random_well_conditioned(rng, 9), random_well_conditioned(rng, 9)
+        d = decompose(MatrixPencil(G @ E0 @ H, G @ A0 @ H))
+        assert (d.d1, d.nilpotency_index, d.rank_profile) == (6, 3, (8, 7, 6, 6))
 
     def test_index_cross_check_refuses_mismatch(self, monkeypatch):
         flag = weierstrass._kernel_flag_basis
@@ -342,13 +359,25 @@ class TestSpectralProjectors:
 
     def test_one_lu_per_shift(self, monkeypatch):
         # both pseudo-resolvents of a shift come from its one LU, the left one by a transposed solve
-        calls, lu_factor = [], scipy.linalg.lu_factor
-        monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, *args: calls.append(a.shape) or lu_factor(a, *args))
+        calls, lapack = [], scipy.linalg.get_lapack_funcs
+
+        def counted_getrf(name, arrays):
+            getrf = lapack(name, arrays)
+            return lambda a: calls.append(a.shape) or getrf(a)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_getrf)
         for name in ("solve", "inv"):
             monkeypatch.setattr(np.linalg, name, lambda *a, name=name: pytest.fail(f"np.linalg.{name} called"))
         P, R = spectral_projectors(MatrixPencil(np.diag([1.0, 0.0]), -np.eye(2)), p=0)
         assert np.allclose(P, np.diag([1.0, 0.0]), atol=1e-7) and np.allclose(R, P, atol=1e-7)
         assert calls == [(2, 2)] * 12
+
+    def test_singular_shift_raises_typed(self):
+        # lam0 = 10 (1 + ||A|| / ||E||) = 20 and 20 E - A = diag(20, 0): the LU's zero pivot refuses the
+        # shift before any solve, with no LinAlgWarning (tier-1 turns that warning into an error)
+        pencil = MatrixPencil(np.diag([1.0, 1 / 20]), np.diag([0.0, 1.0]))
+        with pytest.raises(SingularShift, match=r"^lambda = 20 is outside the resolvent set: pivot 2 of its LU is 0$"):
+            spectral_projectors(pencil, 1)
 
     def test_strict_tolerance_unreachable_for_higher_index(self):
         # documents the rounding floor: at the default 1e-8 Cauchy tolerance
