@@ -44,9 +44,7 @@ def as_complex_matrix(M) -> np.ndarray:
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value."""
     M = np.atleast_2d(M)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
 #: Golub-Kahan-Lanczos steps after which a column is not settled, and its caller falls back to an SVD
@@ -54,7 +52,7 @@ LANCZOS_STEPS = 30
 
 
 def kappa_max(n: int) -> float:
-    """Condition-number threshold above which a shift counts as singular."""
+    """2-norm condition above which a norm sample is outside the resolvent set; ``_lu`` judges an LU."""
     return 1.0 / (1e-12 * n)
 
 
@@ -66,8 +64,7 @@ class MatrixPencil:
     A: np.ndarray
 
     def __post_init__(self):
-        E = as_complex_matrix(self.E)
-        A = as_complex_matrix(self.A)
+        E, A = as_complex_matrix(self.E), as_complex_matrix(self.A)
         if E.shape != A.shape or E.shape[0] != E.shape[1]:
             raise ValueError(f"E and A must be square with equal shape, got {E.shape} and {A.shape}")
         E.setflags(write=False)
@@ -98,20 +95,28 @@ class ResolventSample:
     in_resolvent_set: bool
 
 
+def _lu(M: np.ndarray, refusal: str | None = None):
+    """(LU, estimate, invertible) of square M: getrf's factors, gecon's 1-norm condition estimate (inf on a zero
+    pivot), and the one rule for a factorised shift, rcond > 1e-12 max(1, 1/||M||_1), that is an estimate below
+    1e12 min(1, ||M||_1) (Higham, ch. 15).  Given ``refusal``, M that fails the rule raises SingularShift."""
+    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
+    (lu, piv, info), anorm = getrf(M), np.linalg.norm(M, 1)
+    rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+    cond, ok = 1.0 / rcond if rcond > 0 else np.inf, rcond * anorm > 1e-12 * max(anorm, 1.0)
+    if refusal is not None and not ok:
+        raise SingularShift(f"{refusal}: 1-norm condition estimate {cond:.3e}, limit {1e12 * min(1.0, anorm):.3e}")
+    return (lu, piv), cond, ok
+
+
 def _invertible_shifts(pencil: MatrixPencil, trials: int, seed: int, scale: float | None = None):
     """Draw ``trials`` shifts uniformly from the disk of radius 2*``scale`` (default ||E|| + ||A||) and
-    yield ``(lam, cond, lu)`` for each: LAPACK's 1-norm condition estimate on the LU of lam E - A, and
-    that LU if no pivot is zero and rcond > 1e-12 max(1, 1/||lam E - A||_1), else None."""
+    yield ``(lam, cond, lu)`` for each: ``_lu``'s estimate for lam E - A, and its LU if it passes, else None."""
     rng = np.random.default_rng(seed)
     radius = 2.0 * (spectral_norm(pencil.E) + spectral_norm(pencil.A) if scale is None else scale)
-    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (pencil.E,))
     for _ in range(trials):
         lam = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        M = pencil.shifted(lam)
-        (lu, piv, info), anorm = getrf(M), np.linalg.norm(M, 1)
-        rcond = gecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
-        ok = rcond * anorm > 1e-12 * max(anorm, 1.0)
-        yield lam, 1.0 / rcond if rcond > 0 else np.inf, (lu, piv) if ok else None
+        lu, cond, ok = _lu(pencil.shifted(lam))
+        yield lam, cond, lu if ok else None
 
 
 def probe_regularity(pencil: MatrixPencil, trials: int | None = None, seed: int = 0) -> bool:
@@ -121,31 +126,26 @@ def probe_regularity(pencil: MatrixPencil, trials: int | None = None, seed: int 
     polynomial of degree at most n, so n+1 samples cannot all be roots)
     and returns True as soon as one of them is numerically invertible.
     """
-    n = pencil.n
-    if trials is None:
-        trials = max(16, n + 1)
+    n, trials = pencil.n, max(16, pencil.n + 1) if trials is None else trials
     if trials < n + 1:
         raise ValueError(f"trials must be at least n+1 = {n + 1}")
     return any(lu is not None for *_, lu in _invertible_shifts(pencil, trials, seed))
 
 
-def _checked_shift(pencil: MatrixPencil, lam: complex) -> np.ndarray:
-    if not resolvent_norm(pencil, lam).in_resolvent_set:
-        raise SingularShift(f"lambda = {lam} is outside the resolvent set")
-    return pencil.shifted(lam)
+def _shift_lu(pencil: MatrixPencil, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    return _lu(pencil.shifted(lam), f"lambda = {lam} is outside the resolvent set")[0]
 
 
 def resolvent(pencil: MatrixPencil, lam: complex) -> np.ndarray:
-    """(lambda*E - A)^{-1}."""
-    return np.linalg.inv(_checked_shift(pencil, lam))
+    """(lambda*E - A)^{-1}, refused by ``_lu``'s rule with SingularShift."""
+    return scipy.linalg.lu_solve(_shift_lu(pencil, lam), np.eye(pencil.n))
 
 
 def resolvent_norm(pencil: MatrixPencil, lam: complex) -> ResolventSample:
     """Spectral norm of the resolvent, 1/sigma_min of the shifted pencil."""
     sig = np.linalg.svd(pencil.shifted(lam), compute_uv=False)
     ok = sig[-1] > 0.0 and sig[0] / sig[-1] <= kappa_max(pencil.n)
-    nrm = float(1.0 / sig[-1]) if sig[-1] > 0.0 else np.inf
-    return ResolventSample(lam=lam, norm=nrm, in_resolvent_set=bool(ok))
+    return ResolventSample(lam, float(1.0 / sig[-1]) if sig[-1] > 0.0 else np.inf, bool(ok))
 
 
 def _back_substitute(S: np.ndarray, T: np.ndarray, lams: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -218,10 +218,10 @@ def resolvent_norms(pencil: MatrixPencil, lams) -> tuple[list[ResolventSample], 
 
 
 def right_pseudo_resolvent(pencil: MatrixPencil, lam: complex) -> np.ndarray:
-    """(lambda*E - A)^{-1} E."""
-    return np.linalg.solve(_checked_shift(pencil, lam), pencil.E)
+    """(lambda*E - A)^{-1} E, refused as ``resolvent``."""
+    return scipy.linalg.lu_solve(_shift_lu(pencil, lam), pencil.E)
 
 
 def left_pseudo_resolvent(pencil: MatrixPencil, lam: complex) -> np.ndarray:
-    """E (lambda*E - A)^{-1}."""
-    return pencil.E @ np.linalg.inv(_checked_shift(pencil, lam))
+    """E (lambda*E - A)^{-1}, by a transposed solve on the LU of ``resolvent``."""
+    return scipy.linalg.lu_solve(_shift_lu(pencil, lam), pencil.E.T, trans=1).T

@@ -6,7 +6,7 @@ class PencilError(Exception):
 
 
 class SingularShift(PencilError):
-    """lambda*E - A is numerically singular: lambda lies outside the resolvent set."""
+    """lambda*E - A, or a matrix built on it at one shift, is numerically singular (core._lu's rule)."""
 
 
 class ShiftOutsideResolventSet(PencilError):

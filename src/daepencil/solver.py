@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import MatrixPencil, resolvent_apply, resolvent_norms, right_pseudo_resolvent
+from .core import MatrixPencil, _lu, resolvent_apply, resolvent_norms, right_pseudo_resolvent
 from .errors import (
     InconsistentInitialState,
     OverflowRisk,
@@ -182,23 +182,21 @@ def admissible_initial_state(
     """Test x0 in ran P (P of ``decomp``, decomposed here if not given) and return its preimages.
 
     R(mu) is nilpotent on ker P, so G = R(mu) + I - P is invertible and acts as R(mu) on
-    ran P: p solves with one LU of G, applied to (-1)^{p-1} P x0, give z_0 in ran P with
-    x0 = (-1)^{p-1} R(mu)^p z_0, and each further solve, z_j = -G^{-1} z_{j-1}, the preimage
+    ran P: p steps v -> -G^{-1} v with one LU of G, from -P x0, give z_0 in ran P with
+    x0 = (-1)^{p-1} R(mu)^p z_0, and each further step, z_j = -G^{-1} z_{j-1}, the preimage
     at power p + j, for the tail ``contour_solve`` subtracts (rows j <= MAX_TAIL_TERMS).  G
     uses only R(mu) and P, never A1 or T_R, so the contour solve stays an independent check
-    on ``weierstrass_solve``.
+    on ``weierstrass_solve``.  R(mu) and G are each refused by ``core._lu``'s rule with
+    SingularShift, naming mu and the condition estimate.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(pencil.n)
     decomp = decomp if decomp is not None else decompose(pencil)
     residual, member = _off_finite_subspace(decomp, x0)
-    lu = scipy.linalg.lu_factor(right_pseudo_resolvent(pencil, mu) + np.eye(pencil.n) - decomp.P)
-    z0 = (-1.0) ** (p - 1) * (decomp.P @ x0)
-    for _ in range(p):
-        z0 = scipy.linalg.lu_solve(lu, z0)
-    chain = [z0]
-    for _ in range(MAX_TAIL_TERMS):
+    G = right_pseudo_resolvent(pencil, mu) + np.eye(pencil.n) - decomp.P
+    lu, chain = _lu(G, f"G = R(mu) + I - P is singular at mu = {mu}")[0], [-(decomp.P @ x0)]
+    for _ in range(p + MAX_TAIL_TERMS):
         chain.append(-scipy.linalg.lu_solve(lu, chain[-1]))
-    return member, np.array(chain), residual
+    return member, np.array(chain[p:]), residual
 
 
 def contour_solve(
@@ -258,7 +256,7 @@ def weierstrass_solve(decomp, x0: np.ndarray, times: np.ndarray) -> Trajectory:
         raise InconsistentInitialState(
             f"x0 is {residual:.3e} from ran P, above 1e-8 ||x0||; state is not solvable"
         )
-    y1 = np.linalg.solve(decomp.T_R, x0)[: decomp.d1]
+    y1 = scipy.linalg.solve(decomp.T_R, x0)[: decomp.d1]
     # e^{A1 t_k} = e^{A1 (t_k - t_{k-1})} e^{A1 t_{k-1}}: one exp per distinct step
     steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     factors = [matrix_exponential(decomp.A1, h) for h in steps]

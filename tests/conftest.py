@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 import scipy.linalg  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
@@ -20,6 +21,25 @@ from daepencil import MatrixPencil  # noqa: E402
 # fast, and do not fail on timing when other processes share the machine.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=6)
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def getrf_calls(monkeypatch) -> list:
+    """The shapes of the matrices LAPACK's getrf factorises during the test, from every function that
+    ``scipy.linalg.get_lapack_funcs`` hands out, alone or in a tuple."""
+    calls, lapack = [], scipy.linalg.get_lapack_funcs
+
+    def counted(func):
+        return lambda a, *args, **kwargs: calls.append(a.shape) or func(a, *args, **kwargs)
+
+    def get_lapack_funcs(names, arrays=()):
+        funcs = lapack(names, arrays)
+        if isinstance(names, str):
+            return counted(funcs) if names == "getrf" else funcs
+        return [counted(f) if name == "getrf" else f for name, f in zip(names, funcs)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    return calls
 
 
 def random_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import random_complex, random_regular_pencil
 
 import daepencil.core
@@ -164,6 +165,61 @@ class TestPseudoResolvents:
             fd = (f(lam + h) - f(lam - h)) / (2.0 * h)
             exact = -n * np.linalg.matrix_power(right_pseudo_resolvent(p, lam), n + 1) @ z
             assert np.linalg.norm(fd - exact) <= 1e-4 * max(np.linalg.norm(exact), 1e-12)
+
+
+def _resolvent_cases():
+    """The pencils and shifts of TestResolvent and TestPseudoResolvents."""
+    s, cases = np.sqrt(2.0), []
+    rng = np.random.default_rng(0)
+    cases += [(MatrixPencil(random_complex(rng, 3, 3), random_complex(rng, 3, 3)), 1.0 + 1.0j) for _ in range(3)]
+    rng = np.random.default_rng(1)
+    cases += [(random_regular_pencil(rng, 3, 2), 2.0 + rng.uniform()) for _ in range(3)]
+    rng = np.random.default_rng(2)
+    cases += [(random_regular_pencil(rng, 3, 1), 3.0 + 1.0j) for _ in range(3)]
+    return cases + [
+        (MatrixPencil([[1.0]], [[0.0]]), 2.0),
+        (MatrixPencil(np.eye(2), [[0.0, s], [-s, -2.0]]), 1.0),
+        (MatrixPencil([[1.0]], [[-1.0]]), 1.0),
+        (MatrixPencil(np.diag([1.0, 0.0]), -np.eye(2)), 1.0),
+        (MatrixPencil(np.diag([1.0, 0.0]), np.diag([-2.0, 1.0])), 1.5),
+        (random_regular_pencil(np.random.default_rng(3), 3, 2), 4.0),
+    ]
+
+
+class TestOneLuPerShift:
+    def test_one_getrf_and_no_svd_per_call(self, monkeypatch, getrf_calls):
+        # each call factorises its shift once, judges it by the LU's condition estimate and solves on
+        # the same LU; the references are the dense inverse and solve the evaluators used before
+        cases, refs = _resolvent_cases(), []
+        for p, lam in cases:
+            inv = np.linalg.inv(p.shifted(lam))
+            refs.append((inv, np.linalg.solve(p.shifted(lam), p.E), p.E @ inv))
+        for module, name in [(np.linalg, "svd"), (np.linalg, "inv"), (np.linalg, "solve"), (scipy.linalg, "lu_factor")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+        for (p, lam), expected in zip(cases, refs):
+            for evaluate, ref in zip((resolvent, right_pseudo_resolvent, left_pseudo_resolvent), expected):
+                getrf_calls.clear()
+                got = evaluate(p, lam)
+                assert getrf_calls == [(p.n, p.n)]
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("tiny", [5e-12, 5e-13], ids=["estimate-2e11-accepted", "estimate-2e12-refused"])
+    def test_one_rule_on_both_sides_of_its_limit(self, tiny):
+        # lambda E - A = diag(1, ..., 1, tiny) at lambda = 0 has 1-norm 1, so the limit is 1e12 and
+        # gecon's estimate 1/tiny; the norm samples' 2-norm rule, kappa_max(10) = 1e11, plays no part
+        p, accepted = MatrixPencil(np.eye(10), -np.diag([1.0] * 9 + [tiny])), tiny > 1e-12
+        [(lam, cond, lu)] = _invertible_shifts(p, 1, seed=0, scale=0.0)
+        assert lam == 0 and cond == pytest.approx(1.0 / tiny, rel=1e-12) and (lu is not None) == accepted
+        expected = np.diag([1.0] * 9 + [1.0 / tiny])
+        for evaluate in (resolvent, right_pseudo_resolvent, left_pseudo_resolvent):
+            if accepted:
+                assert np.allclose(evaluate(p, 0.0), expected, rtol=1e-14, atol=0.0)
+                continue
+            with pytest.raises(SingularShift) as refusal:
+                evaluate(p, 0.0)
+            assert str(refusal.value) == (
+                "lambda = 0.0 is outside the resolvent set: 1-norm condition estimate 2.000e+12, limit 1.000e+12"
+            )
 
 
 def _dense_solves(pencil, lams, b):

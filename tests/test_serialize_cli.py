@@ -302,6 +302,20 @@ class TestCliPipeline:
         assert report["failure"] == "InconsistentInitialState"
         assert report["admissible"] is False
 
+    def test_simulate_mu_at_an_eigenvalue_exit_1(self, tmp_path, capsys):
+        # mu = (3 + sqrt 5) / 2 is an eigenvalue of (I, A): R(mu) is refused before any solve, and the
+        # one JSON error says which shift was tried and what its LU's condition estimate was
+        pencil_file, mu = str(tmp_path / "pair.json"), (3.0 + 5.0**0.5) / 2.0
+        save_pencil(pencil_file, MatrixPencil(np.eye(2), [[1.0, 1.0], [1.0, 2.0]]))
+        args = ["simulate", pencil_file, "--x0", "1,0", "--mu", repr(mu), "--omega", "1", "--output-dir", str(tmp_path)]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "SingularShift"
+        assert error["message"].startswith(f"lambda = {mu!r} is outside the resolvent set: 1-norm condition estimate ")
+        assert error["message"].endswith(", limit 1.000e+12")
+
     def test_simulate_scalar_exit_0(self, tmp_path, scalar_pencil_file):
         out = str(tmp_path)
         code = main(["simulate", scalar_pencil_file, "--x0", "1", "--output-dir", out])

@@ -1,8 +1,11 @@
 """Contour-integral and decoupled IVP solvers, admissibility, mild residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import random_complex, random_regular_pencil
 
 import daepencil.core
 import daepencil.solver
@@ -22,7 +25,7 @@ from daepencil import (
     mild_solution_residual,
     weierstrass_solve,
 )
-from daepencil.errors import InconsistentInitialState, OverflowRisk, ShiftOutsideResolventSet
+from daepencil.errors import InconsistentInitialState, OverflowRisk, ShiftOutsideResolventSet, SingularShift
 from daepencil.solver import MAX_TAIL_TERMS, NODES_PER_PANEL
 
 
@@ -121,6 +124,16 @@ class TestAdmissibility:
         member, _, residual = admissible_initial_state(p, 2.0, 2, np.array([1.0, 1.0]))
         assert not member
         assert residual > 1e-3
+
+    def test_singular_G_refused_typed(self):
+        # with P = I, G = R(mu) + I - P is R(mu) itself, singular with E: its LU is refused by the one
+        # rule as a typed error, naming mu and the condition estimate, not as a LinAlgWarning
+        p = random_regular_pencil(np.random.default_rng(5), 3, 2, stable=True)
+        decomp = dataclasses.replace(decompose(p), P=np.eye(p.n))
+        x0 = random_complex(np.random.default_rng(6), p.n)
+        message = r"^G = R\(mu\) \+ I - P is singular at mu = 2\.0: 1-norm condition estimate \d\.\d{3}e\+\d+, limit "
+        with pytest.raises(SingularShift, match=message):
+            admissible_initial_state(p, 2.0, 2, x0, decomp)
 
 
 class TestContourSolve:

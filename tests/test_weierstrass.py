@@ -357,20 +357,13 @@ class TestSpectralProjectors:
             assert spectral_norm(P - d.P) <= 1e-5
             assert spectral_norm(R - d.R) <= 1e-5
 
-    def test_one_lu_per_shift(self, monkeypatch):
+    def test_one_lu_per_shift(self, monkeypatch, getrf_calls):
         # both pseudo-resolvents of a shift come from its one LU, the left one by a transposed solve
-        calls, lapack = [], scipy.linalg.get_lapack_funcs
-
-        def counted_getrf(name, arrays):
-            getrf = lapack(name, arrays)
-            return lambda a: calls.append(a.shape) or getrf(a)
-
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_getrf)
         for name in ("solve", "inv"):
             monkeypatch.setattr(np.linalg, name, lambda *a, name=name: pytest.fail(f"np.linalg.{name} called"))
         P, R = spectral_projectors(MatrixPencil(np.diag([1.0, 0.0]), -np.eye(2)), p=0)
         assert np.allclose(P, np.diag([1.0, 0.0]), atol=1e-7) and np.allclose(R, P, atol=1e-7)
-        assert calls == [(2, 2)] * 12
+        assert getrf_calls == [(2, 2)] * 12
 
     def test_singular_shift_raises_typed(self):
         # lam0 = 10 (1 + ||A|| / ||E||) = 20 and 20 E - A = diag(20, 0): the LU's zero pivot refuses the
