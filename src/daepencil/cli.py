@@ -62,9 +62,7 @@ def _dynamics_pencil(obj) -> MatrixPencil:
     return obj.pencil if isinstance(obj, PhPencil) else obj
 
 
-def _index_report(
-    args, pencil: MatrixPencil, decomp
-) -> tuple[dict, GrowthEstimate, GrowthEstimate]:
+def _index_report(args, pencil: MatrixPencil, decomp) -> tuple[dict, GrowthEstimate, GrowthEstimate]:
     """The index report and the real and complex growth estimates in it."""
     omega = args.omega if args.omega is not None else _default_omega(pencil, decomp.d1)
     lambda_max = omega * args.lambda_span
@@ -76,18 +74,9 @@ def _index_report(
         n_max=(0, args.n_max), num_samples=(0, args.num_samples), box_radius=(0.0, args.box_radius),
     )
     real = estimate_resolvent_index_real(pencil, omega, lambda_max, args.num_points)
-    cplx = estimate_resolvent_index_complex(
-        pencil, omega, lambda_max, args.num_lines, args.num_points
-    )
-    rad = verify_radiality(
-        pencil,
-        p_rad,
-        omega,
-        args.box_radius,
-        n_max=args.n_max,
-        num_samples=args.num_samples,
-        seed=args.seed,
-    )
+    cplx = estimate_resolvent_index_complex(pencil, omega, lambda_max, args.num_lines, args.num_points)
+    rad = verify_radiality(pencil, p_rad, omega, args.box_radius, n_max=args.n_max, num_samples=args.num_samples,
+                           seed=args.seed)
     report = {
         "nilpotency": decomp.nilpotency_index,
         "real": real,

@@ -148,12 +148,14 @@ def resolvent_norm(pencil: MatrixPencil, lam: complex) -> ResolventSample:
     return ResolventSample(lam, float(1.0 / sig[-1]) if sig[-1] > 0.0 else np.inf, bool(ok))
 
 
-def _back_substitute(S: np.ndarray, T: np.ndarray, lams: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(lambda*S - T)^{-1} c, S and T upper triangular, a column per shift; c is (n,) or (n, m)."""
+def _back_substitute(S: np.ndarray, T: np.ndarray, lams: np.ndarray, c: np.ndarray, pivots=None) -> np.ndarray:
+    """(lambda*S - T)^{-1} c, S and T upper triangular, a column per shift; c is (n,) or (n, m).  ``pivots``, if
+    given, holds row i's lams * S[i, i] - T[i, i], the same expression, so the result is the same bits."""
     y = np.empty((len(c), len(lams)), dtype=complex)
     for i in range(len(c) - 1, -1, -1):
         rest = y[i + 1 :]
-        y[i] = (c[i] - lams * (S[i, i + 1 :] @ rest) + T[i, i + 1 :] @ rest) / (lams * S[i, i] - T[i, i])
+        pivot = lams * S[i, i] - T[i, i] if pivots is None else pivots[i]
+        y[i] = (c[i] - lams * (S[i, i + 1 :] @ rest) + T[i, i + 1 :] @ rest) / pivot
     return y
 
 
@@ -205,9 +207,10 @@ def resolvent_norms(pencil: MatrixPencil, lams) -> tuple[list[ResolventSample], 
     n, lams, rng = pencil.n, np.asarray(lams, dtype=complex).ravel(), np.random.default_rng(0)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     sigma, steps, settled = (np.concatenate(column) for column in zip(*[  # the basis stays O(k n 64)
-        _golub_kahan(lambda V, z=z: _back_substitute(S, T, z, V),
-                     lambda U, z=z: _back_substitute(Sa, Ta, z.conj(), U[::-1])[::-1], start, len(z))
-        for z in np.split(lams, range(64, len(lams), 64))]))
+        _golub_kahan(lambda V, z=z, d=d: _back_substitute(S, T, z, V, d),
+                     lambda U, z=z, d=d: _back_substitute(Sa, Ta, z.conj(), U[::-1], d.conj()[::-1])[::-1],
+                     start, len(z))  # d: the pivots of the run's 64 shifts, once
+        for z in np.split(lams, range(64, len(lams), 64)) for d in [z * np.diag(S)[:, None] - np.diag(T)[:, None]]]))
     fro2 = abs(lams) ** 2 * np.vdot(S, S).real - 2 * (lams * np.vdot(T, S)).real + np.vdot(T, T).real
     kappa, kmax = np.sqrt(np.maximum(fro2, 0.0)) * sigma, kappa_max(n)  # ||M||_F ||M^{-1}||
     decided = settled & ((kappa <= kmax) | (kappa > np.sqrt(n) * kmax))

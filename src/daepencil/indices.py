@@ -3,9 +3,9 @@
 The real (complex) resolvent index is the smallest integer p such that
 ``||(lambda E - A)^{-1}|| <= C |lambda|^{p-1}`` on a real ray (right
 half-plane).  We estimate it by fitting the log-log growth of sampled
-resolvent norms; the radiality bound is probed by sampling pseudo-resolvent
-products at real shifts, one explicit inverse per shift of the QZ form in the
-pencil's dtype, and their norms by Golub-Kahan-Lanczos on a stack of products in lockstep.
+resolvent norms; the radiality bound is probed by sampling right pseudo-resolvent products at
+real shifts, one explicit inverse per shift of the QZ form in the pencil's dtype, the left ones by
+similarity with omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
 """
 
 from __future__ import annotations
@@ -180,35 +180,43 @@ def _max_radiality_ratio(
     S: np.ndarray, T: np.ndarray, p: int, omega: float, box_radius: float, n_max: int,
     num_samples: int, rng: np.random.Generator,
 ) -> tuple[float, int, int]:
-    # With (S, T) = _radiality_form(pencil), the inverse X = (x S - T)^{-1} at each shift x gives
-    # (I + X T) / x = (x S - T)^{-1} S and (I + T X) / x = S (x S - T)^{-1} by matrix products, the I and
-    # the 1/x applied in place: the exact I keeps large x accurate, and unlike x E - A, index-3 products too.
+    # With (S, T) = _radiality_form(pencil), X = (x S - T)^{-1} gives the right factor X S = (I + X T) / x, whose exact
+    # I keeps large x and index-3 products accurate.  As T X S = S X T, K = omega S - T has K X S = S X K, so the left
+    # product is K R K^{-1} for the right one R: the stack holds R^n, and Lanczos applies K R^n K^{-1} to vectors.
+    def right_and_left(M, A, B, V):  # M[i] V[:, i] and A M[i] B V[:, m + i], m = len(M): two right-hand sides a matrix
+        out = np.matmul(M, np.stack((V[:, : len(M)].T, (B @ V[:, len(M) :]).T), axis=2))
+        return np.hstack((out[..., 0].T, A @ out[..., 1].T))
     (trtri,), ks = get_lapack_funcs(("trtri",), (S, T)), np.flatnonzero(np.diagonal(T, -1))
+    K, K_inv = omega * S - T, _shift_inverse(S, T, ks, omega, trtri)
+    norm = float(np.linalg.norm(K, 1))
+    cond, limit = norm * float(np.linalg.norm(K_inv, 1)), 1e12 * min(1.0, norm)
+    if not cond < limit:  # core._lu's rule, rcond > 1e-12 max(1, 1/||K||_1), on the exact 1-norm condition
+        raise ShiftOutsideResolventSet(f"radiality omega = {omega!r} is outside the resolvent set: omega S - T has "
+                                       f"1-norm condition {cond:.3e}, not finite or above {limit:.3e}")
     worst, steps, fallbacks = 0.0, 0, 0
-    chunk = max(1, 2**22 // S.nbytes)  # samples whose 2 products fill a stack of at most about 8 MB
-    stack, weights = np.empty((2 * chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
+    chunk = max(1, 2**22 // S.nbytes)  # samples whose products fill a stack of at most about 4 MB
+    stack, weights = np.empty((chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
     for sample in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
         n = int(rng.integers(1, n_max + 1))
-        factors = [(X @ T, T @ X) for X in (_shift_inverse(S, T, ks, x, trtri) for x in lams)]
-        for pair, x in zip(factors, lams):
-            for G in pair:
-                G.ravel()[:: len(S) + 1] += 1.0
-                G /= x
-        right, left = (reduce(np.matmul, products) for products in zip(*factors))
+        factors = [_shift_inverse(S, T, ks, x, trtri) @ T for x in lams]
+        for G, x in zip(factors, lams):
+            G.ravel()[:: len(S) + 1] += 1.0
+            G /= x
         i = sample % chunk
-        stack[2 * i], stack[2 * i + 1] = (np.linalg.matrix_power(M, n) for M in (right, left))
-        if not np.isfinite(stack[2 * i : 2 * i + 2]).all():
+        stack[i] = np.linalg.matrix_power(reduce(np.matmul, factors), n)
+        if not np.isfinite(stack[i]).all():
             raise ShiftOutsideResolventSet(f"radiality product at shifts {lams.tolist()} is not finite")
         weights[i] = float(np.prod(np.abs(lams - omega)) ** n)
-        if i + 1 == chunk or sample + 1 == num_samples:  # the stack's norms by batched GEMVs
-            M = stack[: 2 * i + 2]
+        if i + 1 == chunk or sample + 1 == num_samples:  # the norms of R^n and K R^n K^{-1} by batched GEMVs
+            M = stack[: i + 1]
             sigma, most, settled = _golub_kahan(
-                lambda V: np.matmul(M, V.T[:, :, None])[..., 0].T,
-                lambda U: np.matmul(M.transpose(0, 2, 1), U.T.conj()[:, :, None])[..., 0].T.conj(),  # M^H U
-                np.random.default_rng(0).standard_normal(len(S)).astype(S.dtype), len(M))
-            sigma[~settled] = [spectral_norm(X) for X in M[~settled]]
-            worst = max(worst, float(np.max(sigma.reshape(-1, 2).max(axis=1) * weights[: i + 1])))
+                lambda V: right_and_left(M, K, K_inv, V),
+                lambda U: right_and_left(M.transpose(0, 2, 1), K_inv.T, K.T, U.conj()).conj(),  # the adjoints
+                np.random.default_rng(0).standard_normal(len(S)).astype(S.dtype), 2 * len(M))
+            for j in np.flatnonzero(~settled):  # an SVD, of the explicit K R^n K^{-1} for a left column
+                sigma[j] = spectral_norm(K @ M[j - i - 1] @ K_inv if j > i else M[j])
+            worst = max(worst, float(np.max(sigma.reshape(2, -1).max(axis=0) * weights[: i + 1])))
             steps, fallbacks = max(steps, int(most.max())), fallbacks + int(np.count_nonzero(~settled))
     return worst, steps, fallbacks
 
@@ -224,11 +232,11 @@ def verify_radiality(
 ) -> RadialityEvidence:
     """Monte-Carlo support/falsification of the order-p radiality bound.
 
-    Draws shift tuples from (omega, omega + box_radius) and powers up to
-    n_max, records the largest weighted product norm, then repeats at ten
-    times the box radius.  A ratio growth beyond DIVERGENCE_FACTOR falsifies
-    the bound; otherwise it is supported with empirical constant C.
-    "supported" is evidence, not proof.
+    Draws shift tuples from (omega, omega + box_radius) and powers up to n_max, records the largest
+    weighted product norm, then repeats at ten times the box radius.  A ratio growth beyond
+    DIVERGENCE_FACTOR falsifies the bound; otherwise it is supported with empirical constant C.
+    "supported" is evidence, not proof.  The left products are taken by similarity with omega E - A in
+    its QZ form, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet.
 
     The verdict is about the pencil as stored.  Rounding E and A moves the
     infinite eigenvalues of an index-3 block to |lambda| of order eps^(-1/3),
