@@ -4,8 +4,9 @@ The real (complex) resolvent index is the smallest integer p such that
 ``||(lambda E - A)^{-1}|| <= C |lambda|^{p-1}`` on a real ray (right
 half-plane).  We estimate it by fitting the log-log growth of sampled
 resolvent norms; the radiality bound is probed by sampling right pseudo-resolvent products at
-real shifts, one explicit inverse per shift of the QZ form in the pencil's dtype, the left ones by
-similarity with omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
+real shifts, one explicit inverse per shift and block of the QZ form in the pencil's dtype (a real form split by one
+Sylvester similarity into the blocks of its finite and infinite eigenvalues), the left ones by similarity with
+omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import reduce
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs, qz
+from scipy.linalg import block_diag, expm, get_lapack_funcs, qz
 
 from .core import MatrixPencil, _golub_kahan, as_complex_matrix, resolvent_norms, spectral_norm
 from .errors import OverflowRisk, ShiftOutsideResolventSet
@@ -37,6 +38,9 @@ SLOPE_TOLERANCE = 0.25
 #: exceeding its radiality order by one power shows a factor near 10, a
 #: radial one a factor near 1; 3 is the geometric midpoint.
 DIVERGENCE_FACTOR = 3.0
+#: largest (1 + ||X||_2)(1 + ||Y||_2) of the similarity that splits the real QZ form into two blocks: its condition
+#: multiplies the rounding of the radiality products, and 1e3 keeps C far inside report_diff's 1e-10
+SPLIT_CONDITION_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,12 @@ class RadialityEvidence:
     svd_fallbacks: int
 
 
-def _require_above(**bounds: tuple[float, float]) -> None:
-    """Raise a ValueError naming the first argument, given as name=(low, value), not in (low, inf)."""
-    for name, (low, value) in bounds.items():
+def _require_above(**bounds: tuple) -> None:
+    """Raise a ValueError naming the first argument, given as name=(low, value[, Integral]), not in (low, inf) or no
+    integer (a bool is none) where Integral is given."""
+    for name, (low, value, *kind) in bounds.items():
+        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if not low < value < np.inf:
             raise ValueError(f"{name} must be finite and > {low!r}, got {value!r}")
 
@@ -111,7 +118,7 @@ def estimate_resolvent_index_real(
     num_points: int = 64,
 ) -> GrowthEstimate:
     """Fit the resolvent-norm growth exponent on a geometric ray (omega, lambda_max]."""
-    _require_above(omega=(0.0, omega), lambda_max=(omega, lambda_max), num_points=(7, num_points))
+    _require_above(omega=(0.0, omega), lambda_max=(omega, lambda_max), num_points=(7, num_points, Integral))
     lams = np.geomspace(omega, lambda_max, num_points + 1)[1:]
     return _grid_estimate(pencil, omega, lams, lambda ss: (np.log(lams), np.log([s.norm for s in ss])))
 
@@ -130,7 +137,7 @@ def estimate_resolvent_index_complex(
     growth of the per-bin supremum.
     """
     _require_above(omega=(0.0, omega), imag_max=(1.0, imag_max),  # the y-grid starts at 1
-                   num_lines=(0, num_lines), num_points=(7, num_points))
+                   num_lines=(0, num_lines, Integral), num_points=(7, num_points, Integral))
     line_res = [omega * (1.0 + j) for j in range(num_lines)]
     ys = np.geomspace(1.0, imag_max, num_points + 1)[1:]
     log_ratio = np.log(1.05)
@@ -146,12 +153,28 @@ def estimate_resolvent_index_complex(
     return _grid_estimate(pencil, omega, [complex(wp, y) for wp in line_res for y in ys], binned)
 
 
-def _radiality_form(pencil: MatrixPencil) -> tuple[np.ndarray, np.ndarray]:
-    """(S, T) of E = Q S Z*, A = Q T Z*: a real QZ (T quasi-triangular) unless E or A is complex."""
+def _radiality_form(pencil: MatrixPencil) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(S, T, X, Y): E = Q S Z*, A = Q T Z* by a real QZ unless E or A is complex, dtgsen putting the d1 eigenvalues
+    above the largest gap of log |beta|/(|alpha| + |beta|) first, and [[I, X], [0, I]] (S, T) [[I, Y], [0, I]] block
+    diagonal by dtgsyl (Kagstrom & Poromaa, ACM TOMS 22, 1996); d1 = n where that fails and on complex forms."""
+    n = pencil.n
     if pencil.E.imag.any() or pencil.A.imag.any():
-        return pencil.qz[:2]
+        return *pencil.qz[:2], np.zeros((n, 0), complex), np.zeros((n, 0), complex)
     T, S = qz(pencil.A.real, pencil.E.real, output="real")[:2]
-    return S, T
+    tgsen, tgsyl = get_lapack_funcs(("tgsen", "tgsyl"), (S, T))  # q and z are not referenced at wantq = wantz = 0
+    alpha_re, alpha_im, beta = tgsen(np.zeros(n, np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)[2:5]
+    with np.errstate(invalid="ignore"):  # 0 / 0, an irregular pencil's, counts as an infinite eigenvalue
+        log_r = np.log(np.fmax(np.abs(beta) / (np.hypot(alpha_re, alpha_im) + np.abs(beta)), 1e-300))
+    edges = np.sort(log_r)
+    upper = log_r >= edges[np.argmax(np.diff(edges, prepend=edges[0]))]
+    if np.count_nonzero(upper) < n:
+        T2, S2, *_, d1, _, _, _, info = tgsen(upper.astype(np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)
+        R, L, scale, _, info_syl = tgsyl(T2[:d1, :d1], T2[d1:, d1:], -T2[:d1, d1:],
+                                         S2[:d1, :d1], S2[d1:, d1:], -S2[:d1, d1:])
+        X, Y = (-L / scale, R / scale) if scale > 0 and not (info or info_syl) else (np.inf, np.inf)
+        if (1.0 + spectral_norm(X)) * (1.0 + spectral_norm(Y)) <= SPLIT_CONDITION_MAX:
+            return S2, T2, X, Y
+    return S, T, np.zeros((n, 0)), np.zeros((n, 0))
 
 
 def _shift_inverse(S: np.ndarray, T: np.ndarray, ks: np.ndarray, x: float, trtri) -> np.ndarray:
@@ -177,15 +200,28 @@ def _shift_inverse(S: np.ndarray, T: np.ndarray, ks: np.ndarray, x: float, trtri
 
 
 def _max_radiality_ratio(
-    S: np.ndarray, T: np.ndarray, p: int, omega: float, box_radius: float, n_max: int,
+    S: np.ndarray, T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int, omega: float, box_radius: float, n_max: int,
     num_samples: int, rng: np.random.Generator,
 ) -> tuple[float, int, int]:
-    # With (S, T) = _radiality_form(pencil), X = (x S - T)^{-1} gives the right factor X S = (I + X T) / x, whose exact
-    # I keeps large x and index-3 products accurate.  As T X S = S X T, K = omega S - T has K X S = S X K, so the left
-    # product is K R K^{-1} for the right one R: the stack holds R^n, and Lanczos applies K R^n K^{-1} to vectors.
-    def right_and_left(M, A, B, V):  # M[i] V[:, i] and A M[i] B V[:, m + i], m = len(M): two right-hand sides a matrix
-        out = np.matmul(M, np.stack((V[:, : len(M)].T, (B @ V[:, len(M) :]).T), axis=2))
-        return np.hstack((out[..., 0].T, A @ out[..., 1].T))
+    # With (S, T, X, Y) = _radiality_form(pencil), G = (x S - T)^{-1} gives the right factor G S = (I + G T) / x, whose
+    # exact I keeps large x and index-3 products accurate.  As T G S = S G T, K = omega S - T has K G S = S G K, so the
+    # left product is K R K^{-1} for the right one R.  Each block b has its own factors and stack of R_b^n, and Lanczos
+    # applies R^n = P blkdiag(R_b^n) P^{-1} and K R^n K^{-1} = P blkdiag(K_b R_b^n K_b^{-1}) P^{-1} with P = [[I, C],
+    # [0, I]], C = Y and C = -X, as (S, T) = [[I, -X], [0, I]] blkdiag((S_b, T_b)) [[I, -Y], [0, I]].
+    def operators(V, m, adjoint):  # V[:, i] by right operator i < m, V[:, m + i] by left operator i, or by the adjoints
+        rows, cols, sign, couplings = (bottom, top, -1.0, [C.T for C in Cs]) if adjoint else (top, bottom, 1.0, Cs)
+        V, out = V.conj() if adjoint else V, np.empty_like(V)
+        V = V.copy() if Cs else V  # for the shears in place (a real V.conj() is V itself)
+        for half, C in zip((slice(0, m), slice(m, None)), couplings):  # P^{-1} V, or P^H V
+            V[rows, half] -= sign * (C @ V[cols, half])
+        for b, _, stack in blocks:  # M[i] V[:, i] and A M[i] B V[:, m + i]: two right-hand sides a matrix
+            M, A, B = stack[:m], K[b, b], K_inv[b, b]
+            M, A, B = (M.transpose(0, 2, 1), B.T, A.T) if adjoint else (M, A, B)
+            both = np.matmul(M, np.stack((V[b, :m].T, (B @ V[b, m:]).T), axis=2))
+            out[b, :m], out[b, m:] = both[..., 0].T, A @ both[..., 1].T
+        for half, C in zip((slice(0, m), slice(m, None)), couplings):  # then P, or P^{-H}
+            out[rows, half] += sign * (C @ out[cols, half])
+        return out.conj() if adjoint else out
     (trtri,), ks = get_lapack_funcs(("trtri",), (S, T)), np.flatnonzero(np.diagonal(T, -1))
     K, K_inv = omega * S - T, _shift_inverse(S, T, ks, omega, trtri)
     norm = float(np.linalg.norm(K, 1))
@@ -193,30 +229,34 @@ def _max_radiality_ratio(
     if not cond < limit:  # core._lu's rule, rcond > 1e-12 max(1, 1/||K||_1), on the exact 1-norm condition
         raise ShiftOutsideResolventSet(f"radiality omega = {omega!r} is outside the resolvent set: omega S - T has "
                                        f"1-norm condition {cond:.3e}, not finite or above {limit:.3e}")
-    worst, steps, fallbacks = 0.0, 0, 0
-    chunk = max(1, 2**22 // S.nbytes)  # samples whose products fill a stack of at most about 4 MB
-    stack, weights = np.empty((chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
+    top, bottom, Cs = slice(0, len(X)), slice(len(X), None), (Y, -X) if X.size else ()  # P's C, right then left
+    chunk = max(1, 2**22 // S.nbytes)  # samples per Lanczos run: about 4 MB of products on one block, less when split
+    blocks = [(b, np.flatnonzero(np.diagonal(T[b, b], -1)), np.empty((chunk, *S[b, b].shape), dtype=S.dtype))
+              for b in (top, bottom) if S[b, b].size]
+    worst, steps, fallbacks, weights = 0.0, 0, 0, np.empty(chunk)
     for sample in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
-        n = int(rng.integers(1, n_max + 1))
-        factors = [_shift_inverse(S, T, ks, x, trtri) @ T for x in lams]
-        for G, x in zip(factors, lams):
-            G.ravel()[:: len(S) + 1] += 1.0
-            G /= x
-        i = sample % chunk
-        stack[i] = np.linalg.matrix_power(reduce(np.matmul, factors), n)
-        if not np.isfinite(stack[i]).all():
-            raise ShiftOutsideResolventSet(f"radiality product at shifts {lams.tolist()} is not finite")
+        n, i = int(rng.integers(1, n_max + 1)), sample % chunk
+        for b, ksb, stack in blocks:
+            factors = [_shift_inverse(S[b, b], T[b, b], ksb, x, trtri) @ T[b, b] for x in lams]
+            for G, x in zip(factors, lams):
+                G.ravel()[:: len(G) + 1] += 1.0
+                G /= x
+            stack[i] = np.linalg.matrix_power(reduce(np.matmul, factors), n)
+            if not np.isfinite(stack[i]).all():
+                raise ShiftOutsideResolventSet(f"radiality product at shifts {lams.tolist()} is not finite")
         weights[i] = float(np.prod(np.abs(lams - omega)) ** n)
         if i + 1 == chunk or sample + 1 == num_samples:  # the norms of R^n and K R^n K^{-1} by batched GEMVs
-            M = stack[: i + 1]
+            m = i + 1
             sigma, most, settled = _golub_kahan(
-                lambda V: right_and_left(M, K, K_inv, V),
-                lambda U: right_and_left(M.transpose(0, 2, 1), K_inv.T, K.T, U.conj()).conj(),  # the adjoints
-                np.random.default_rng(0).standard_normal(len(S)).astype(S.dtype), 2 * len(M))
-            for j in np.flatnonzero(~settled):  # an SVD, of the explicit K R^n K^{-1} for a left column
-                sigma[j] = spectral_norm(K @ M[j - i - 1] @ K_inv if j > i else M[j])
-            worst = max(worst, float(np.max(sigma.reshape(2, -1).max(axis=0) * weights[: i + 1])))
+                lambda V: operators(V, m, False), lambda U: operators(U, m, True),
+                np.random.default_rng(0).standard_normal(len(S)).astype(S.dtype), 2 * m)
+            for j in np.flatnonzero(~settled):  # an SVD, of the operator P blkdiag(.) P^{-1} formed explicitly
+                F = block_diag(*(K[b, b] @ s[j - m] @ K_inv[b, b] if j >= m else s[j] for b, _, s in blocks))
+                F[top] += (Y, -X)[j // m] @ F[bottom]
+                F[:, bottom] -= F[:, top] @ (Y, -X)[j // m]
+                sigma[j] = spectral_norm(F)
+            worst = max(worst, float(np.max(sigma.reshape(2, -1).max(axis=0) * weights[:m])))
             steps, fallbacks = max(steps, int(most.max())), fallbacks + int(np.count_nonzero(~settled))
     return worst, steps, fallbacks
 
@@ -235,8 +275,9 @@ def verify_radiality(
     Draws shift tuples from (omega, omega + box_radius) and powers up to n_max, records the largest
     weighted product norm, then repeats at ten times the box radius.  A ratio growth beyond
     DIVERGENCE_FACTOR falsifies the bound; otherwise it is supported with empirical constant C.
-    "supported" is evidence, not proof.  The left products are taken by similarity with omega E - A in
-    its QZ form, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet.
+    "supported" is evidence, not proof.  A real pencil is sampled on its QZ form deflated into finite and
+    infinite blocks by one Sylvester similarity, where that is well conditioned, and the left products by
+    similarity with omega E - A there, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet.
 
     The verdict is about the pencil as stored.  Rounding E and A moves the
     infinite eigenvalues of an index-3 block to |lambda| of order eps^(-1/3),
@@ -245,11 +286,11 @@ def verify_radiality(
     "falsified" on 4 of 6 random stable ones, as a 60-digit evaluation of
     the stored pencils confirms.
     """
-    _require_above(p=(-1, p), n_max=(0, n_max), num_samples=(0, num_samples),
-                   omega=(-np.inf, omega), box_radius=(0.0, box_radius))
-    rng, (S, T) = np.random.default_rng(seed), _radiality_form(pencil)
+    _require_above(p=(-1, p, Integral), n_max=(0, n_max, Integral), num_samples=(0, num_samples, Integral),
+                   seed=(-1, seed, Integral), omega=(-np.inf, omega), box_radius=(0.0, box_radius))
+    rng, form = np.random.default_rng(seed), _radiality_form(pencil)
     (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = (  # the box, then ten times it
-        _max_radiality_ratio(S, T, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
+        _max_radiality_ratio(*form, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
     return RadialityEvidence(
         p=p, omega=omega, n_max=n_max, num_samples=num_samples, C=ratio, max_ratio_wide=ratio_wide,
         verdict="falsified" if ratio_wide > DIVERGENCE_FACTOR * ratio else "supported",

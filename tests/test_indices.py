@@ -174,6 +174,18 @@ def _block_radiality_ratio(blocks, p, omega, box_radius, n_max, num_samples, rng
     return worst
 
 
+def _sampled_ratio(pencil, *args, seed=7, form=None):
+    """(C, most Lanczos steps, SVD fallbacks) of indices._max_radiality_ratio on ``form``, by default the pencil's
+    radiality form, with args = (p, omega, box_radius, n_max, num_samples): the one call of that private signature."""
+    return _max_radiality_ratio(*(form or _radiality_form(pencil)), *args, np.random.default_rng(seed))
+
+
+def _one_block_form(pencil):
+    """The real QZ form of a real pencil as one block, unreordered."""
+    T, S = scipy.linalg.qz(pencil.A.real, pencil.E.real, output="real")[:2]
+    return S, T, np.zeros((pencil.n, 0)), np.zeros((pencil.n, 0))
+
+
 class TestRadialityRatio:
     @pytest.mark.parametrize(
         "pencil, p, rel",
@@ -190,7 +202,7 @@ class TestRadialityRatio:
     @pytest.mark.parametrize("box_radius", [10.0, 1e3])
     def test_matches_dense_reference(self, pencil, p, rel, box_radius):
         args = (p, 0.5, box_radius, 3, 40)
-        fast, steps, fallbacks = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
+        fast, steps, fallbacks = _sampled_ratio(pencil, *args)
         ref = _dense_radiality_ratio(pencil, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
         assert fallbacks == 0 and 1 <= steps <= min(pencil.n, 30)
@@ -200,7 +212,7 @@ class TestRadialityRatio:
         # three Lanczos runs, the last one on the products of 2 samples
         pencil = build_l2_example(L2ExampleParams(K=40))
         args = (1, 0.5, 1e3, 3, 150)
-        fast, _, fallbacks = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))
+        fast, _, fallbacks = _sampled_ratio(pencil, *args)
         assert fallbacks == 0
         assert fast == pytest.approx(_dense_radiality_ratio(pencil, *args, np.random.default_rng(7)), rel=1e-12)
 
@@ -223,7 +235,7 @@ class TestRadialityRatio:
         blocks = random_weierstrass_blocks(np.random.default_rng(1), 4, d2)
         pencil = random_regular_pencil(np.random.default_rng(1), 4, d2)
         args = (d2 - 1, 0.5, box_radius, 3, 40)
-        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(7))[0]
+        fast = _sampled_ratio(pencil, *args)[0]
         ref = _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
 
@@ -242,12 +254,13 @@ class TestRadialityRatio:
             funcs = scipy.linalg.get_lapack_funcs(names, arrays)
             return [lambda M, *a, f=f, **k: seen.append(M.dtype) or f(M, *a, **k) for f in funcs]
 
+        form = _radiality_form(pencil)  # before recording: dtgsen's first argument is an int32 selection
         monkeypatch.setattr(indices, "get_lapack_funcs", recording_get_lapack_funcs)
-        _max_radiality_ratio(*_radiality_form(pencil), 1, 0.5, 10.0, 3, 5, np.random.default_rng(7))
+        _sampled_ratio(pencil, 1, 0.5, 10.0, 3, 5, form=form)
         assert seen and set(seen) == {np.dtype(dtype)}
 
     def test_one_triangular_inverse_per_shift(self, monkeypatch):
-        # the design: per shift one trtri on the eliminated QZ form, one more per box call for
+        # the design: per shift and block one trtri on the eliminated QZ form, one more per box call for
         # K^{-1}, K = omega S - T, then only matrix products and Lanczos on the stacked products; no
         # LU, no getri, no triangular solves with n right-hand sides, no SVD and no symmetric eigensolve
         calls = []
@@ -255,19 +268,21 @@ class TestRadialityRatio:
         def counting_get_lapack_funcs(names, arrays):
             calls.append(tuple(names))
             funcs = scipy.linalg.get_lapack_funcs(names, arrays)
-            return [lambda *a, f=f, name=name, **k: calls.append(name) or f(*a, **k) for f, name in zip(funcs, names)]
+            return [lambda M, *a, f=f, **k: calls.append(M.shape) or f(M, *a, **k) for f in funcs]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("radiality sampling must not call this")
 
+        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
+        form = _radiality_form(pencil)  # finite eigenvalues in a 12 x 12 block, infinite ones in an 8 x 8 block
         monkeypatch.setattr(indices, "get_lapack_funcs", counting_get_lapack_funcs)
         for module, name in [(scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve"), (scipy.linalg, "svd"),
                              (scipy.linalg, "svdvals"), (np.linalg, "svd"), (np.linalg, "inv"),
                              (scipy.linalg, "eigh"), (np.linalg, "eigh"), (indices, "resolvent_norms")]:
             monkeypatch.setattr(module, name, forbidden)
-        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        _max_radiality_ratio(*_radiality_form(pencil), 1, 0.5, 10.0, 3, 7, np.random.default_rng(7))
-        assert calls == [("trtri",)] + ["trtri"] * (1 + 14)  # K^{-1}, then 7 samples of 2 shifts
+        _sampled_ratio(pencil, 1, 0.5, 10.0, 3, 7, form=form)
+        # K^{-1} of the whole form, then 7 samples of 2 shifts in each block
+        assert calls == [("trtri",), (20, 20)] + ([(12, 12)] * 2 + [(8, 8)] * 2) * 7
         assert not any(hasattr(indices, name) for name in ("lu_factor", "lu_solve", "eigh"))
 
     @pytest.mark.parametrize(
@@ -297,9 +312,10 @@ class TestRadialityRatio:
         assert (fast.C, fast.max_ratio_wide) == (ref.C, ref.max_ratio_wide)
 
     def test_shift_inverse_of_every_block_pivot(self):
-        # a real QZ form with 2x2 blocks whose subdiagonal entry is the pivot at some shifts and not at others
+        # a real QZ form with 2x2 blocks whose subdiagonal entry is the pivot at some shifts and not at others:
+        # the unreordered one, as dtgsen's reordering of it has no such block
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        S, T = _radiality_form(pencil)
+        S, T = _one_block_form(pencil)[:2]
         (trtri,), ks = scipy.linalg.get_lapack_funcs(("trtri",), (S,)), np.flatnonzero(np.diagonal(T, -1))
         assert len(ks) and not np.tril(S, -1).any() and not np.tril(T, -2).any()
         swaps = set()
@@ -321,7 +337,7 @@ class TestRadialityRatio:
     def test_left_products_by_similarity(self, pencil, p, box_radius):
         # K (x S - T)^{-1} S = S (x S - T)^{-1} K for K = omega S - T, so L^n = K R^n K^{-1}: it matches the
         # left product formed explicitly from the factors (I + T X) / x, X = (x S - T)^{-1}
-        S, T = _radiality_form(pencil)
+        S, T = _radiality_form(pencil)[:2]
         (trtri,), ks = scipy.linalg.get_lapack_funcs(("trtri",), (S,)), np.flatnonzero(np.diagonal(T, -1))
         omega, rng, identity = 0.5, np.random.default_rng(7), np.eye(len(S))
         K, K_inv = omega * S - T, indices._shift_inverse(S, T, ks, omega, trtri)
@@ -361,7 +377,7 @@ class TestRadialityRatio:
     def test_nanorod_matches_50_digit_reference(self, pencil, p, box_radius, rel):
         mpmath = pytest.importorskip("mpmath")
         args = (p, 1.0, box_radius, 3, 12)
-        fast = _max_radiality_ratio(*_radiality_form(pencil), *args, np.random.default_rng(0))[0]
+        fast = _sampled_ratio(pencil, *args, seed=0)[0]
         ref = _mp_radiality_ratio(mpmath, pencil, *args, np.random.default_rng(0))
         assert fast == pytest.approx(ref, rel=rel)
 
@@ -388,6 +404,77 @@ def _mp_radiality_ratio(mpmath, pencil, p, omega, box_radius, n_max, num_samples
                     v /= mpmath.norm(v)
                 worst = max(worst, mpmath.norm(M * v) * weight)
     return float(worst)
+
+
+def _real_weierstrass_pencil(seed, d1, nilpotency, chains, cond_max=10.0):
+    """Real G (blkdiag(I, N), blkdiag(A1, I)) H: A1 stable, N with ``chains`` Jordan chains of length
+    ``nilpotency``, cond(G), cond(H) <= cond_max."""
+    rng = np.random.default_rng(seed)
+    A1 = rng.standard_normal((d1, d1))
+    A1 -= (np.linalg.eigvals(A1).real.max() + 0.5) * np.eye(d1)
+    d2 = nilpotency * chains
+    N = np.diag(rng.uniform(0.5, 2.0, d2 - 1) * (np.arange(1, d2) % nilpotency != 0), 1)
+
+    def well_conditioned():
+        U, V = (np.linalg.qr(rng.standard_normal((d1 + d2, d1 + d2)))[0] for _ in range(2))
+        return (U * np.exp(rng.uniform(0.0, np.log(cond_max), d1 + d2))) @ V.T
+
+    G, H = well_conditioned(), well_conditioned()
+    return MatrixPencil(G @ scipy.linalg.block_diag(np.eye(d1), N) @ H, G @ scipy.linalg.block_diag(A1, np.eye(d2)) @ H)
+
+
+class TestRadialitySplit:
+    @pytest.mark.parametrize("n_grid", [4, 10])
+    def test_nanorod_splits_off_its_infinite_eigenvalues(self, n_grid):
+        # 3 n_grid finite eigenvalues first, the 2 n_grid infinite ones (beta = 0) in the second block, and both
+        # boxes match the one-block ratio on the unreordered real QZ form
+        pencil = build_nanorod(NanorodParams(n_grid=n_grid)).pencil
+        S, T, X, Y = _radiality_form(pencil)
+        d1 = 3 * n_grid
+        assert X.shape == Y.shape == (d1, 2 * n_grid)
+        for M in (S, T):  # [[I, X], [0, I]] M [[I, Y], [0, I]] is block diagonal
+            assert np.linalg.norm(M[:d1, d1:] + M[:d1, :d1] @ Y + X @ M[d1:, d1:]) <= 1e-14 * np.linalg.norm(M)
+        for box_radius in (1e3, 1e4):
+            split, steps, fallbacks = _sampled_ratio(pencil, 1, 1.0, box_radius, 3, 40)
+            one_block = _sampled_ratio(pencil, 1, 1.0, box_radius, 3, 40, form=_one_block_form(pencil))[0]
+            assert split == pytest.approx(one_block, rel=1e-12)
+            assert fallbacks == 0
+
+    @pytest.mark.parametrize(
+        "pencil",
+        [build_l2_example(L2ExampleParams(K=40)), random_regular_pencil(np.random.default_rng(0), 20, 2)],
+        ids=["l2-40", "complex-d1-20"],
+    )
+    def test_one_block_where_there_is_no_split(self, pencil):
+        # l2 splits off 4 of its 84 eigenvalues at (1 + ||X||)(1 + ||Y||) = 1.2e5, which SPLIT_CONDITION_MAX refuses;
+        # a complex form is never split: both keep the QZ form as it was before the split, bit for bit
+        S, T, X, Y = _radiality_form(pencil)
+        assert X.shape == Y.shape == (pencil.n, 0)
+        if pencil.E.imag.any():
+            assert S is pencil.qz[0] and T is pencil.qz[1]
+        else:
+            assert all(np.array_equal(M, M0) for M, M0 in zip((S, T), _one_block_form(pencil)))
+
+    def test_guard_decides_l2(self, monkeypatch):
+        # with the limit raised past l2's 1.2e5 the split is taken, and the ratio still matches the one-block one
+        pencil = build_l2_example(L2ExampleParams(K=40))
+        monkeypatch.setattr(indices, "SPLIT_CONDITION_MAX", 1e6)
+        S, T, X, Y = _radiality_form(pencil)
+        assert X.shape == (80, 4)
+        args = (1, 0.5, 1e3, 3, 40)
+        assert _sampled_ratio(pencil, *args)[0] == pytest.approx(
+            _sampled_ratio(pencil, *args, form=_one_block_form(pencil))[0], rel=1e-12)
+
+    @settings(max_examples=12)
+    @given(d1=st.integers(2, 40), nilpotency=st.integers(1, 3), chains=st.integers(1, 2), seed=st.integers(0, 2**16))
+    @example(d1=23, nilpotency=2, chains=1, seed=89)  # split into 23 + 2
+    @example(d1=10, nilpotency=2, chains=2, seed=0)  # one block: the largest gap is among the infinite eigenvalues
+    def test_split_matches_one_block_or_is_refused(self, d1, nilpotency, chains, seed):
+        pencil = _real_weierstrass_pencil(seed, d1, nilpotency, chains)
+        form = _radiality_form(pencil)
+        args = (max(nilpotency - 1, 0), 1.0, 10.0, 3, 10)
+        split, one_block = (_sampled_ratio(pencil, *args, form=f)[0] for f in (form, _one_block_form(pencil)))
+        assert form[2].shape[1] == 0 or split == pytest.approx(one_block, rel=1e-10)
 
 
 _KINDS = ["dense", "quasi-triangular", "rank-1", "zero"]
@@ -502,12 +589,19 @@ class TestArgumentValidation:
             ({"omega": float("nan")}, "omega"),
             ({"omega": float("inf")}, "omega"),
             ({"box_radius": float("inf")}, "box_radius"),
+            # counts are integers that are not bools, checked before any work
+            ({"p": 1.5}, "p"),
+            ({"p": True}, "p"),
+            ({"n_max": 2.5}, "n_max"),
+            ({"num_samples": 10.5}, "num_samples"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_radiality_nonfinite_rejected(self, kwargs, name):
-        args = {"omega": 0.5, "box_radius": 10.0} | kwargs
+        args = {"p": 0, "omega": 0.5, "box_radius": 10.0} | kwargs
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, **args)
+            verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), **args)
 
     @pytest.mark.parametrize("estimate", [estimate_resolvent_index_real, estimate_resolvent_index_complex])
     @pytest.mark.parametrize(
@@ -521,6 +615,20 @@ class TestArgumentValidation:
     def test_growth_grid_rejected(self, estimate, omega, lambda_max, name):
         with pytest.raises(ValueError, match=f"^({name}) must be"):
             estimate(MatrixPencil(np.eye(1), [[-1.0]]), omega, lambda_max)
+
+    @pytest.mark.parametrize(
+        "estimate, kwargs, name",
+        [
+            (estimate_resolvent_index_real, {"num_points": 10.5}, "num_points"),
+            (estimate_resolvent_index_real, {"num_points": np.float64(64.0)}, "num_points"),
+            (estimate_resolvent_index_complex, {"num_lines": 2.5}, "num_lines"),
+            (estimate_resolvent_index_complex, {"num_lines": True}, "num_lines"),
+            (estimate_resolvent_index_complex, {"num_points": 10.5}, "num_points"),
+        ],
+    )
+    def test_growth_counts_rejected(self, estimate, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            estimate(MatrixPencil(np.eye(1), [[-1.0]]), 0.5, 10.0, **kwargs)
 
     def test_complex_grid_needs_imag_max_above_1(self):
         with pytest.raises(ValueError, match="^imag_max must be finite and > 1.0, got 0.9"):
