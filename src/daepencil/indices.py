@@ -159,7 +159,7 @@ def _radiality_form(pencil: MatrixPencil) -> tuple[np.ndarray, np.ndarray, np.nd
     diagonal by dtgsyl (Kagstrom & Poromaa, ACM TOMS 22, 1996); d1 = n where that fails and on complex forms."""
     n = pencil.n
     if pencil.E.imag.any() or pencil.A.imag.any():
-        return *pencil.qz[:2], np.zeros((n, 0), complex), np.zeros((n, 0), complex)
+        return *pencil.qz[:2], np.zeros((n, 0)), np.zeros((n, 0))
     T, S = qz(pencil.A.real, pencil.E.real, output="real")[:2]
     tgsen, tgsyl = get_lapack_funcs(("tgsen", "tgsyl"), (S, T))  # q and z are not referenced at wantq = wantz = 0
     alpha_re, alpha_im, beta = tgsen(np.zeros(n, np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)[2:5]
