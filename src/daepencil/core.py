@@ -1,8 +1,10 @@
 """Dense complex matrix pencils, resolvents and pseudo-resolvents.
 
-A pencil is the family ``lambda*E - A`` for a square pair ``(E, A)``.  All
-operators are concrete complex matrices; norms are spectral norms.  Every
-routine here is pure: inputs are never mutated.
+A pencil is the family ``lambda*E - A`` for a square pair ``(E, A)``, stored
+as complex matrices; norms are spectral norms.  ``MatrixPencil.schur`` is the
+pencil's one QZ form, real when E and A are, and ``MatrixPencil.finite`` the
+one rule for which of its eigenvalues are finite.  Every routine here is
+pure: inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -80,10 +82,35 @@ class MatrixPencil:
         return lam * self.E - self.A
 
     @cached_property
-    def qz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(S, T, Q, Z): complex QZ form E = Q S Z*, A = Q T Z*, S and T upper triangular."""
-        T, S, Q, Z = scipy.linalg.qz(self.A, self.E, output="complex")
+    def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(S, T, Q, Z): the pencil's one QZ form E = Q S Z*, A = Q T Z*, in its own field: real, S upper and T
+        quasi-upper triangular (a 2x2 block per complex pair), when E and A are real, else complex triangular."""
+        A, E = (self.A, self.E) if self.E.imag.any() or self.A.imag.any() else (self.A.real, self.E.real)
+        T, S, Q, Z = scipy.linalg.qz(A, E, output="complex" if np.iscomplexobj(A) else "real")
         return S, T, Q, Z
+
+    @cached_property
+    def qz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(S, T, Q, Z): complex QZ form, S and T upper triangular: ``schur``'s own arrays, or a real one's with each
+        2x2 block made triangular by a pair of 2x2 unitary rotations (Golub & Van Loan, Matrix Computations, 7.7)."""
+        S, T, Q, Z = (M.astype(complex, copy=False) for M in self.schur)
+        rows = np.flatnonzero(np.diagonal(T, -1))[:, None] + [0, 1]  # of the 2x2 blocks, none in a complex form
+        Sb, Tb = (M[rows[:, :, None], rows[:, None, :]] for M in (S, T))  # LAPACK leaves each Sb diagonal, positive
+        M = Tb - np.linalg.eigvals(Tb / Sb.diagonal(0, 1, 2)[:, :, None])[:, 1, None, None] * Sb  # lam: Im lam < 0
+        v = M[np.arange(len(M)), np.argmax(np.linalg.norm(M, axis=2), axis=1)][:, ::-1] * [1, -1]  # M v = 0
+        u, v = (w / np.linalg.norm(w, axis=1, keepdims=True) for w in (np.einsum("bij,bj->bi", Sb, v), v))
+        Qb, Zb = (np.stack((w, np.stack((-w[:, 1].conj(), w[:, 0].conj()), axis=1)), axis=2) for w in (u, v))  # unitary
+        S[rows], T[rows] = Qb.conj().transpose(0, 2, 1) @ np.stack((S[rows], T[rows]))  # Sb v is parallel to Tb v
+        for M, R in ((S, Zb), (T, Zb), (Q, Qb), (Z, Zb)):
+            M[:, rows] = np.einsum("nbj,bjk->nbk", M[:, rows], R)
+        S[rows[:, 1], rows[:, 0]] = T[rows[:, 1], rows[:, 0]] = 0.0
+        return S, T, Q, Z
+
+    def finite(self, d1: int) -> np.ndarray:
+        """Mask of the d1 finite eigenvalues on the diagonal of ``qz``, and so of ``schur``: the d1 largest
+        |s|/(|s| + |t|).  QZ puts an index-k block's infinite eigenvalues at eps^(1/k) there, above any fixed cut."""
+        s, t = (np.abs(np.diagonal(M)) for M in self.qz[:2])
+        return np.isin(np.arange(self.n), np.argsort(t / (s + t), kind="stable")[:d1])
 
 
 @dataclass(frozen=True)

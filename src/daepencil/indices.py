@@ -4,9 +4,9 @@ The real (complex) resolvent index is the smallest integer p such that
 ``||(lambda E - A)^{-1}|| <= C |lambda|^{p-1}`` on a real ray (right
 half-plane).  We estimate it by fitting the log-log growth of sampled
 resolvent norms; the radiality bound is probed by sampling right pseudo-resolvent products at
-real shifts, one explicit inverse per shift and block of the QZ form in the pencil's dtype (a real form split by one
-Sylvester similarity into the blocks of its finite and infinite eigenvalues), the left ones by similarity with
-omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
+real shifts, one explicit inverse per shift and block of the pencil's one Schur form, MatrixPencil.schur (a real form
+split by one Sylvester similarity into the blocks of the caller's d1 finite and of the infinite eigenvalues), the left
+ones by similarity with omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import reduce
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import block_diag, expm, get_lapack_funcs, qz
+from scipy.linalg import block_diag, expm, get_lapack_funcs
 
 from .core import MatrixPencil, _golub_kahan, as_complex_matrix, resolvent_norms, spectral_norm
 from .errors import OverflowRisk, ShiftOutsideResolventSet
@@ -153,25 +153,17 @@ def estimate_resolvent_index_complex(
     return _grid_estimate(pencil, omega, [complex(wp, y) for wp in line_res for y in ys], binned)
 
 
-def _radiality_form(pencil: MatrixPencil) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(S, T, X, Y): E = Q S Z*, A = Q T Z* by a real QZ unless E or A is complex, dtgsen putting the d1 eigenvalues
-    above the largest gap of log |beta|/(|alpha| + |beta|) first, and [[I, X], [0, I]] (S, T) [[I, Y], [0, I]] block
-    diagonal by dtgsyl (Kagstrom & Poromaa, ACM TOMS 22, 1996); d1 = n where that fails and on complex forms."""
-    n = pencil.n
-    if pencil.E.imag.any() or pencil.A.imag.any():
-        return *pencil.qz[:2], np.zeros((n, 0)), np.zeros((n, 0))
-    T, S = qz(pencil.A.real, pencil.E.real, output="real")[:2]
-    tgsen, tgsyl = get_lapack_funcs(("tgsen", "tgsyl"), (S, T))  # q and z are not referenced at wantq = wantz = 0
-    alpha_re, alpha_im, beta = tgsen(np.zeros(n, np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)[2:5]
-    with np.errstate(invalid="ignore"):  # 0 / 0, an irregular pencil's, counts as an infinite eigenvalue
-        log_r = np.log(np.fmax(np.abs(beta) / (np.hypot(alpha_re, alpha_im) + np.abs(beta)), 1e-300))
-    edges = np.sort(log_r)
-    upper = log_r >= edges[np.argmax(np.diff(edges, prepend=edges[0]))]
-    if np.count_nonzero(upper) < n:
-        T2, S2, *_, d1, _, _, _, info = tgsen(upper.astype(np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)
+def _radiality_form(pencil: MatrixPencil, d1: int) -> tuple[np.ndarray, ...]:
+    """(S, T, X, Y): the pencil's Schur form, a real one reordered by dtgsen with the d1 of MatrixPencil.finite first
+    and [[I, X], [0, I]] (S, T) [[I, Y], [0, I]] block diagonal by dtgsyl (Kagstrom & Poromaa, ACM TOMS 22, 1996); one
+    block where that fails, dtgsen moves m != d1 eigenvalues, and on a complex form (scipy wraps no ztgsyl)."""
+    (S, T), n = pencil.schur[:2], pencil.n
+    if not np.iscomplexobj(S) and 0 < d1 < n:
+        tgsen, tgsyl = get_lapack_funcs(("tgsen", "tgsyl"), (S, T))  # q and z are not referenced at wantq = wantz = 0
+        T2, S2, *_, m, _, _, _, info = tgsen(pencil.finite(d1).astype(np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)
         R, L, scale, _, info_syl = tgsyl(T2[:d1, :d1], T2[d1:, d1:], -T2[:d1, d1:],
                                          S2[:d1, :d1], S2[d1:, d1:], -S2[:d1, d1:])
-        X, Y = (-L / scale, R / scale) if scale > 0 and not (info or info_syl) else (np.inf, np.inf)
+        X, Y = (-L / scale, R / scale) if scale > 0 and not (info or info_syl or m != d1) else (np.inf, np.inf)
         if (1.0 + spectral_norm(X)) * (1.0 + spectral_norm(Y)) <= SPLIT_CONDITION_MAX:
             return S2, T2, X, Y
     return S, T, np.zeros((n, 0)), np.zeros((n, 0))
@@ -266,6 +258,7 @@ def verify_radiality(
     p: int,
     omega: float,
     box_radius: float,
+    d1: int,
     n_max: int = 3,
     num_samples: int = 500,
     seed: int = 0,
@@ -275,20 +268,16 @@ def verify_radiality(
     Draws shift tuples from (omega, omega + box_radius) and powers up to n_max, records the largest
     weighted product norm, then repeats at ten times the box radius.  A ratio growth beyond
     DIVERGENCE_FACTOR falsifies the bound; otherwise it is supported with empirical constant C.
-    "supported" is evidence, not proof.  A real pencil is sampled on its QZ form deflated into finite and
-    infinite blocks by one Sylvester similarity, where that is well conditioned, and the left products by
+    "supported" is evidence, not proof.  d1, the number of finite eigenvalues, comes from the caller's decomposition
+    (the CLI passes decompose's).  A real pencil is sampled on its Schur form deflated into the blocks of those d1 and
+    of the infinite eigenvalues by one Sylvester similarity, where that is well conditioned, and the left products by
     similarity with omega E - A there, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet.
-
-    The verdict is about the pencil as stored.  Rounding E and A moves the
-    infinite eigenvalues of an index-3 block to |lambda| of order eps^(-1/3),
-    so at the CLI's default box (1e3, and 1e4 for the wide box) a double-
-    precision index-3 pencil no longer behaves as index 3: p = 2 is
-    "falsified" on 4 of 6 random stable ones, as a 60-digit evaluation of
-    the stored pencils confirms.
-    """
-    _require_above(p=(-1, p, Integral), n_max=(0, n_max, Integral), num_samples=(0, num_samples, Integral),
-                   seed=(-1, seed, Integral), omega=(-np.inf, omega), box_radius=(0.0, box_radius))
-    rng, form = np.random.default_rng(seed), _radiality_form(pencil)
+    That form has an index-k block's infinite eigenvalues at |s|/(|s| + |t|) ~ eps^(1/k), not 0: at index 3 p = 2 can
+    read "falsified" where the Weierstrass structure supports it (ROADMAP.md: radiality on decompose's structure)."""
+    _require_above(p=(-1, p, Integral), d1=(-1, d1, Integral), n_max=(0, n_max, Integral),
+                   num_samples=(0, num_samples, Integral), seed=(-1, seed, Integral), omega=(-np.inf, omega),
+                   box_radius=(0.0, box_radius))
+    rng, form = np.random.default_rng(seed), _radiality_form(pencil, d1)
     (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = (  # the box, then ten times it
         _max_radiality_ratio(*form, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
     return RadialityEvidence(

@@ -221,12 +221,8 @@ def dissipation_trace(ph: PhPencil, traj: Trajectory) -> DissipationTrace:
 
 
 def _default_omega(pencil: MatrixPencil, d1: int) -> float:
-    # QZ puts the infinite eigenvalues of an index-k block at |beta| / (|alpha| + |beta|) ~ eps^{1/k},
-    # above any fixed cut, so the d1 finite eigenvalues alpha/beta are those with the largest ratio
-    beta, alpha = map(np.diag, pencil.qz[:2])
-    finite = np.argsort(np.abs(alpha) / (np.abs(alpha) + np.abs(beta)), kind="stable")[:d1]
-    re_max = float(np.max((alpha[finite] / beta[finite]).real)) if d1 else 0.0
-    return max(re_max, 0.0) + 1.0
+    beta, alpha = (np.diag(M)[pencil.finite(d1)] for M in pencil.qz[:2])
+    return float(np.max((alpha / beta).real, initial=0.0)) + 1.0
 
 
 def _index_estimates(pencil: MatrixPencil, omega: float) -> tuple[GrowthEstimate, GrowthEstimate]:

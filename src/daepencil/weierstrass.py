@@ -347,9 +347,9 @@ def build_zero_dynamics(A0, b, c) -> ZeroDynModel:
     V_inv[m, m] = 1.0
 
     for M, Minv, name in ((U, U_inv, "U"), (V, V_inv, "V")):
-        resid = spectral_norm(M @ Minv - np.eye(m + 1))
-        if resid > 1e-12 * max(spectral_norm(M) * spectral_norm(Minv), 1.0):
-            raise AssertionError(f"{name} inverse residual {resid:.3e}")
+        resid, limit = spectral_norm(M @ Minv - np.eye(m + 1)), 1e-12 * max(spectral_norm(M) * spectral_norm(Minv), 1)
+        if resid > limit:
+            raise IllConditionedTransform(f"{name} inverse residual ||{name} {name}^-1 - I|| {resid:.3e} > {limit:.3e}")
 
     E_tilde = U @ E @ V
     A_tilde = U @ A @ V

@@ -240,13 +240,32 @@ def _relative_errors(x, ref):
 
 class TestQz:
     def test_factors(self):
+        # a complex pencil, and real ones whose real Schur forms have 2x2 blocks, made triangular by rotations
         rng = np.random.default_rng(4)
-        p = random_regular_pencil(rng, 4, 3)
-        S, T, Q, Z = p.qz
-        assert np.allclose(S, np.triu(S)) and np.allclose(T, np.triu(T))
-        assert np.allclose(Q.conj().T @ Q, np.eye(7)) and np.allclose(Z.conj().T @ Z, np.eye(7))
-        assert spectral_norm(Q @ S @ Z.conj().T - p.E) <= 1e-12 * spectral_norm(p.E)
-        assert spectral_norm(Q @ T @ Z.conj().T - p.A) <= 1e-12 * spectral_norm(p.A)
+        pencils = [random_regular_pencil(rng, 4, 3), build_nanorod(NanorodParams(n_grid=4)).pencil,
+                   MatrixPencil(rng.standard_normal((9, 9)), rng.standard_normal((9, 9)))]
+        for p, blocks in zip(pencils, [0, 4, 3]):
+            assert np.count_nonzero(np.diagonal(p.schur[1], -1)) == blocks
+            S, T, Q, Z = p.qz
+            assert not np.tril(S, -1).any() and not np.tril(T, -1).any()
+            for U in (Q, Z):
+                assert spectral_norm(U.conj().T @ U - np.eye(p.n)) <= 1e-13
+            assert spectral_norm(Q @ S @ Z.conj().T - p.E) <= 1e-12 * spectral_norm(p.E)
+            assert spectral_norm(Q @ T @ Z.conj().T - p.A) <= 1e-12 * spectral_norm(p.A)
+
+    def test_finite_mask_in_both_forms(self):
+        # nanorod n_grid=4 has 12 finite eigenvalues, complex pairs among them, and 8 infinite ones: the mask marks a
+        # 2x2 block's pair together, and each marked place holds the same eigenvalue (or its conjugate) in both forms
+        p = build_nanorod(NanorodParams(n_grid=4)).pencil
+        (S, T), (Sc, Tc), finite = p.schur[:2], p.qz[:2], p.finite(12)
+        ks = np.flatnonzero(np.diagonal(T, -1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            real_form = (np.diag(T) / np.diag(S)).astype(complex)
+        for k in ks:
+            real_form[k : k + 2] = scipy.linalg.eigvals(T[k : k + 2, k : k + 2], S[k : k + 2, k : k + 2])
+        view, real_form = np.diag(Tc)[finite] / np.diag(Sc)[finite], real_form[finite]
+        assert np.count_nonzero(finite) == 12 and len(ks) and np.array_equal(finite[ks], finite[ks + 1])
+        assert np.all(np.minimum(abs(view - real_form), abs(view - real_form.conj())) <= 1e-10 * abs(real_form))
 
     def test_computed_once(self):
         p = MatrixPencil(np.eye(2), np.diag([1.0, 2.0]))

@@ -75,7 +75,7 @@ class TestComplexIndex:
 
 class TestRadiality:
     def test_scalar_contraction_supported(self):
-        ev = verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, omega=1e-6, box_radius=10.0)
+        ev = verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, omega=1e-6, box_radius=10.0, d1=1)
         assert ev.verdict == "supported"
         assert ev.C == pytest.approx(1.0, abs=0.1)
 
@@ -84,8 +84,8 @@ class TestRadiality:
         # the sampling box must extend past the saturation scale of the
         # empirical constant, otherwise genuine growth of the ratio is still
         # visible for the supported order
-        lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, num_samples=200)
-        hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, num_samples=200)
+        lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
+        hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
         assert lo.verdict == "falsified"
         assert hi.verdict == "supported"
 
@@ -96,25 +96,25 @@ class TestRadiality:
         A1 = 0.5 * (W - W.T) - np.eye(3)
         E = scipy.linalg.block_diag(np.eye(3), np.triu(np.ones((2, 2)), 1))
         A = scipy.linalg.block_diag(A1, np.eye(2))
-        ev = verify_radiality(MatrixPencil(E, A), 1, omega=0.5, box_radius=100.0, num_samples=200)
+        ev = verify_radiality(MatrixPencil(E, A), 1, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
         assert ev.verdict == "supported"
 
     def test_deterministic_given_seed(self):
         p = MatrixPencil(np.eye(1), [[-1.0]])
-        a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
-        b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, num_samples=50, seed=3)
+        a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, num_samples=50, seed=3)
+        b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, num_samples=50, seed=3)
         assert a.C == b.C
 
     def test_one_real_qz_for_both_boxes(self, monkeypatch):
-        calls = []
+        calls, qz = [], scipy.linalg.qz
 
         def counted(*args, **kwargs):
             calls.append(kwargs["output"])
-            return scipy.linalg.qz(*args, **kwargs)
+            return qz(*args, **kwargs)
 
-        monkeypatch.setattr(indices, "qz", counted)
+        monkeypatch.setattr(core.scipy.linalg, "qz", counted)
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        verify_radiality(pencil, 1, omega=1.0, box_radius=10.0, num_samples=5)
+        verify_radiality(pencil, 1, omega=1.0, box_radius=10.0, d1=12, num_samples=5)
         assert calls == ["real"]
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -122,14 +122,14 @@ class TestRadiality:
     def test_irregular_pencil_typed_error(self, E):
         # every shift is singular: a zero LU pivot, never an untyped LinAlgError or a NaN
         with pytest.raises(ShiftOutsideResolventSet, match="zero LU pivot"):
-            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0)
+            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0, d1=0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_product_typed_error(self):
         # x*E overflows for this E: the products are not finite and must not reach the norms
         pencil = MatrixPencil([[0.0, 1e308], [0.0, 0.0]], np.eye(2))
         with pytest.raises(ShiftOutsideResolventSet, match="not finite"):
-            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0)
+            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0, d1=0)
 
 
 def _dense_radiality_ratio(pencil, p, omega, box_radius, n_max, num_samples, rng):
@@ -174,35 +174,35 @@ def _block_radiality_ratio(blocks, p, omega, box_radius, n_max, num_samples, rng
     return worst
 
 
-def _sampled_ratio(pencil, *args, seed=7, form=None):
-    """(C, most Lanczos steps, SVD fallbacks) of indices._max_radiality_ratio on ``form``, by default the pencil's
-    radiality form, with args = (p, omega, box_radius, n_max, num_samples): the one call of that private signature."""
-    return _max_radiality_ratio(*(form or _radiality_form(pencil)), *args, np.random.default_rng(seed))
+def _sampled_ratio(form, *args, seed=7):
+    """(C, most Lanczos steps, SVD fallbacks) of indices._max_radiality_ratio on the radiality ``form`` (S, T, X, Y),
+    with args = (p, omega, box_radius, n_max, num_samples): the one call of that private signature."""
+    return _max_radiality_ratio(*form, *args, np.random.default_rng(seed))
 
 
 def _one_block_form(pencil):
-    """The real QZ form of a real pencil as one block, unreordered."""
-    T, S = scipy.linalg.qz(pencil.A.real, pencil.E.real, output="real")[:2]
-    return S, T, np.zeros((pencil.n, 0)), np.zeros((pencil.n, 0))
+    """The pencil's Schur form as one block, unreordered."""
+    return *pencil.schur[:2], np.zeros((pencil.n, 0)), np.zeros((pencil.n, 0))
 
 
 class TestRadialityRatio:
     @pytest.mark.parametrize(
-        "pencil, p, rel",
+        "pencil, d1, p, rel",
         [
-            (build_nanorod(NanorodParams(n_grid=4)).pencil, 1, 1e-10),
-            (build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil, 0, 1e-10),
-            (MatrixPencil(scipy.linalg.block_diag(np.eye(3), N2), scipy.linalg.block_diag(-np.eye(3), np.eye(2))), 2, 1e-10),
+            (build_nanorod(NanorodParams(n_grid=4)).pencil, 12, 1, 1e-10),
+            (build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil, 3, 0, 1e-10),
+            (MatrixPencil(scipy.linalg.block_diag(np.eye(3), N2), scipy.linalg.block_diag(-np.eye(3), np.eye(2))), 3, 2,
+             1e-10),
             # n > LANCZOS_STEPS: the Krylov space does not span C^n, so the stop rule decides
-            (build_nanorod(NanorodParams(n_grid=10)).pencil, 1, 1e-12),
-            (build_l2_example(L2ExampleParams(K=40)), 1, 1e-12),
+            (build_nanorod(NanorodParams(n_grid=10)).pencil, 30, 1, 1e-12),
+            (build_l2_example(L2ExampleParams(K=40)), 80, 1, 1e-12),
         ],
         ids=["nanorod", "zero-dyn", "nilpotent", "nanorod-n50", "l2-n84"],
     )
     @pytest.mark.parametrize("box_radius", [10.0, 1e3])
-    def test_matches_dense_reference(self, pencil, p, rel, box_radius):
+    def test_matches_dense_reference(self, pencil, d1, p, rel, box_radius):
         args = (p, 0.5, box_radius, 3, 40)
-        fast, steps, fallbacks = _sampled_ratio(pencil, *args)
+        fast, steps, fallbacks = _sampled_ratio(_radiality_form(pencil, d1), *args)
         ref = _dense_radiality_ratio(pencil, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
         assert fallbacks == 0 and 1 <= steps <= min(pencil.n, 30)
@@ -212,15 +212,15 @@ class TestRadialityRatio:
         # three Lanczos runs, the last one on the products of 2 samples
         pencil = build_l2_example(L2ExampleParams(K=40))
         args = (1, 0.5, 1e3, 3, 150)
-        fast, _, fallbacks = _sampled_ratio(pencil, *args)
+        fast, _, fallbacks = _sampled_ratio(_radiality_form(pencil, 80), *args)
         assert fallbacks == 0
         assert fast == pytest.approx(_dense_radiality_ratio(pencil, *args, np.random.default_rng(7)), rel=1e-12)
 
     def test_step_cap_falls_back_to_svd(self, monkeypatch):
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        lanczos = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, num_samples=10)
+        lanczos = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, num_samples=10)
         monkeypatch.setattr(core, "LANCZOS_STEPS", 2)
-        capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, num_samples=10)
+        capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, num_samples=10)
         assert (lanczos.lanczos_steps, lanczos.svd_fallbacks) == (8, 0)
         assert (capped.lanczos_steps, capped.svd_fallbacks) == (2, 40)  # 2 products, 10 samples, 2 boxes
         assert capped.C == pytest.approx(lanczos.C, rel=1e-13)
@@ -235,28 +235,28 @@ class TestRadialityRatio:
         blocks = random_weierstrass_blocks(np.random.default_rng(1), 4, d2)
         pencil = random_regular_pencil(np.random.default_rng(1), 4, d2)
         args = (d2 - 1, 0.5, box_radius, 3, 40)
-        fast = _sampled_ratio(pencil, *args)[0]
+        fast = _sampled_ratio(_radiality_form(pencil, 4), *args)[0]
         ref = _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
 
     @pytest.mark.parametrize(
-        "pencil, dtype",
+        "pencil, d1, dtype",
         [
-            (build_nanorod(NanorodParams(n_grid=4)).pencil, np.float64),
-            (random_regular_pencil(np.random.default_rng(0), 4, 2), np.complex128),
+            (build_nanorod(NanorodParams(n_grid=4)).pencil, 12, np.float64),
+            (random_regular_pencil(np.random.default_rng(0), 4, 2), 4, np.complex128),
         ],
         ids=["real", "complex"],
     )
-    def test_factorises_in_pencil_dtype(self, monkeypatch, pencil, dtype):
+    def test_factorises_in_pencil_dtype(self, monkeypatch, pencil, d1, dtype):
         seen = []
 
         def recording_get_lapack_funcs(names, arrays):
             funcs = scipy.linalg.get_lapack_funcs(names, arrays)
             return [lambda M, *a, f=f, **k: seen.append(M.dtype) or f(M, *a, **k) for f in funcs]
 
-        form = _radiality_form(pencil)  # before recording: dtgsen's first argument is an int32 selection
+        form = _radiality_form(pencil, d1)  # before recording: dtgsen's first argument is an int32 selection
         monkeypatch.setattr(indices, "get_lapack_funcs", recording_get_lapack_funcs)
-        _sampled_ratio(pencil, 1, 0.5, 10.0, 3, 5, form=form)
+        _sampled_ratio(form, 1, 0.5, 10.0, 3, 5)
         assert seen and set(seen) == {np.dtype(dtype)}
 
     def test_one_triangular_inverse_per_shift(self, monkeypatch):
@@ -274,32 +274,32 @@ class TestRadialityRatio:
             raise AssertionError("radiality sampling must not call this")
 
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        form = _radiality_form(pencil)  # finite eigenvalues in a 12 x 12 block, infinite ones in an 8 x 8 block
+        form = _radiality_form(pencil, 12)  # finite eigenvalues in a 12 x 12 block, infinite ones in an 8 x 8 block
         monkeypatch.setattr(indices, "get_lapack_funcs", counting_get_lapack_funcs)
         for module, name in [(scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve"), (scipy.linalg, "svd"),
                              (scipy.linalg, "svdvals"), (np.linalg, "svd"), (np.linalg, "inv"),
                              (scipy.linalg, "eigh"), (np.linalg, "eigh"), (indices, "resolvent_norms")]:
             monkeypatch.setattr(module, name, forbidden)
-        _sampled_ratio(pencil, 1, 0.5, 10.0, 3, 7, form=form)
+        _sampled_ratio(form, 1, 0.5, 10.0, 3, 7)
         # K^{-1} of the whole form, then 7 samples of 2 shifts in each block
         assert calls == [("trtri",), (20, 20)] + ([(12, 12)] * 2 + [(8, 8)] * 2) * 7
         assert not any(hasattr(indices, name) for name in ("lu_factor", "lu_solve", "eigh"))
 
     @pytest.mark.parametrize(
-        "pencil, p, box_radius",
+        "pencil, d1, p, box_radius",
         [
-            (build_nanorod(NanorodParams(n_grid=10)).pencil, 1, 1e3),
-            (build_l2_example(L2ExampleParams(K=40)), 1, 8e3),
-            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 2, 1e3),
-            (random_regular_pencil(np.random.default_rng(0), 20, 2), 1, 1e3),
+            (build_nanorod(NanorodParams(n_grid=10)).pencil, 30, 1, 1e3),
+            (build_l2_example(L2ExampleParams(K=40)), 80, 1, 8e3),
+            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 3, 2, 1e3),
+            (random_regular_pencil(np.random.default_rng(0), 20, 2), 20, 1, 1e3),
         ],
         ids=["nanorod-10", "l2-40", "random-index-3", "complex-d1-20"],
     )
-    def test_ratios_equal_lu_getri_reference(self, monkeypatch, pencil, p, box_radius):
+    def test_ratios_equal_lu_getri_reference(self, monkeypatch, pencil, d1, p, box_radius):
         # the elimination step pivots and scales as getrf does, and trtri is getri's own first step;
         # U can differ in a last bit where getrf fuses a multiply-add, yet on these pencils every
         # ratio equals, bit for bit, the one from an LU and getri of x S - T at each shift
-        fast = verify_radiality(pencil, p, 0.5, box_radius, num_samples=60)
+        fast = verify_radiality(pencil, p, 0.5, box_radius, d1, num_samples=60)
 
         def lu_getri_inverse(S, T, ks, x, trtri):
             getri = scipy.linalg.get_lapack_funcs("getri", (S,))
@@ -308,7 +308,7 @@ class TestRadialityRatio:
             return X
 
         monkeypatch.setattr(indices, "_shift_inverse", lu_getri_inverse)
-        ref = verify_radiality(pencil, p, 0.5, box_radius, num_samples=60)
+        ref = verify_radiality(pencil, p, 0.5, box_radius, d1, num_samples=60)
         assert (fast.C, fast.max_ratio_wide) == (ref.C, ref.max_ratio_wide)
 
     def test_shift_inverse_of_every_block_pivot(self):
@@ -326,18 +326,18 @@ class TestRadialityRatio:
         assert swaps == {True, False}
 
     @pytest.mark.parametrize(
-        "pencil, p, box_radius",
+        "pencil, d1, p, box_radius",
         [
-            (build_nanorod(NanorodParams(n_grid=4)).pencil, 1, 1e3),  # a real QZ form with 2x2 blocks
-            (build_l2_example(L2ExampleParams(K=40)), 1, 1e3),  # real too: E and A have no imaginary part
-            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 2, 10.0),  # complex, index 3
+            (build_nanorod(NanorodParams(n_grid=4)).pencil, 12, 1, 1e3),  # a real QZ form with 2x2 blocks
+            (build_l2_example(L2ExampleParams(K=40)), 80, 1, 1e3),  # real too: E and A have no imaginary part
+            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 3, 2, 10.0),  # complex, index 3
         ],
         ids=["nanorod", "l2-n84", "random-index-3"],
     )
-    def test_left_products_by_similarity(self, pencil, p, box_radius):
+    def test_left_products_by_similarity(self, pencil, d1, p, box_radius):
         # K (x S - T)^{-1} S = S (x S - T)^{-1} K for K = omega S - T, so L^n = K R^n K^{-1}: it matches the
         # left product formed explicitly from the factors (I + T X) / x, X = (x S - T)^{-1}
-        S, T = _radiality_form(pencil)[:2]
+        S, T = _radiality_form(pencil, d1)[:2]
         (trtri,), ks = scipy.linalg.get_lapack_funcs(("trtri",), (S,)), np.flatnonzero(np.diagonal(T, -1))
         omega, rng, identity = 0.5, np.random.default_rng(7), np.eye(len(S))
         K, K_inv = omega * S - T, indices._shift_inverse(S, T, ks, omega, trtri)
@@ -360,24 +360,24 @@ class TestRadialityRatio:
         G, H = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
         pencil = MatrixPencil(scale * G @ H, scale * G @ np.diag([0.5, -1.0, -2.0, -3.0]) @ H)
         with pytest.raises(ShiftOutsideResolventSet, match=r"omega = 0\.5 .* 1-norm condition \d\.\d+e\+1[5-7], "):
-            verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, num_samples=10)
+            verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=4, num_samples=10)
 
     @pytest.mark.parametrize(
-        "pencil, p, box_radius, rel",
+        "pencil, d1, p, box_radius, rel",
         [
-            pytest.param(build_nanorod(NanorodParams(n_grid=4)).pencil, 1, 1e3, 1e-13, id="1000.0"),
-            pytest.param(build_nanorod(NanorodParams(n_grid=4)).pencil, 1, 1e4, 1e-13, id="10000.0"),
+            pytest.param(build_nanorod(NanorodParams(n_grid=4)).pencil, 12, 1, 1e3, 1e-13, id="1000.0"),
+            pytest.param(build_nanorod(NanorodParams(n_grid=4)).pencil, 12, 1, 1e4, 1e-13, id="10000.0"),
             # the tolerance of test_complex_pencil_matches_block_reference at box 10; at box 1e3 this pencil
             # reads 3.40117 against 3.43800 in 50 digits, and so do explicitly formed left products: the QZ
             # form's backward error moves its index-3 products by about 1 %, so 1e-8 cannot hold there
-            pytest.param(random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 2, 10.0, 1e-10,
+            pytest.param(random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 3, 2, 10.0, 1e-10,
                          id="random-index-3-10.0"),
         ],
     )
-    def test_nanorod_matches_50_digit_reference(self, pencil, p, box_radius, rel):
+    def test_nanorod_matches_50_digit_reference(self, pencil, d1, p, box_radius, rel):
         mpmath = pytest.importorskip("mpmath")
         args = (p, 1.0, box_radius, 3, 12)
-        fast = _sampled_ratio(pencil, *args, seed=0)[0]
+        fast = _sampled_ratio(_radiality_form(pencil, d1), *args, seed=0)[0]
         ref = _mp_radiality_ratio(mpmath, pencil, *args, np.random.default_rng(0))
         assert fast == pytest.approx(ref, rel=rel)
 
@@ -429,52 +429,54 @@ class TestRadialitySplit:
         # 3 n_grid finite eigenvalues first, the 2 n_grid infinite ones (beta = 0) in the second block, and both
         # boxes match the one-block ratio on the unreordered real QZ form
         pencil = build_nanorod(NanorodParams(n_grid=n_grid)).pencil
-        S, T, X, Y = _radiality_form(pencil)
         d1 = 3 * n_grid
+        S, T, X, Y = _radiality_form(pencil, d1)
         assert X.shape == Y.shape == (d1, 2 * n_grid)
         for M in (S, T):  # [[I, X], [0, I]] M [[I, Y], [0, I]] is block diagonal
             assert np.linalg.norm(M[:d1, d1:] + M[:d1, :d1] @ Y + X @ M[d1:, d1:]) <= 1e-14 * np.linalg.norm(M)
         for box_radius in (1e3, 1e4):
-            split, steps, fallbacks = _sampled_ratio(pencil, 1, 1.0, box_radius, 3, 40)
-            one_block = _sampled_ratio(pencil, 1, 1.0, box_radius, 3, 40, form=_one_block_form(pencil))[0]
+            split, steps, fallbacks = _sampled_ratio((S, T, X, Y), 1, 1.0, box_radius, 3, 40)
+            one_block = _sampled_ratio(_one_block_form(pencil), 1, 1.0, box_radius, 3, 40)[0]
             assert split == pytest.approx(one_block, rel=1e-12)
             assert fallbacks == 0
 
     @pytest.mark.parametrize(
-        "pencil",
-        [build_l2_example(L2ExampleParams(K=40)), random_regular_pencil(np.random.default_rng(0), 20, 2)],
+        "pencil, d1",
+        [(build_l2_example(L2ExampleParams(K=40)), 80), (random_regular_pencil(np.random.default_rng(0), 20, 2), 20)],
         ids=["l2-40", "complex-d1-20"],
     )
-    def test_one_block_where_there_is_no_split(self, pencil):
+    def test_one_block_where_there_is_no_split(self, pencil, d1):
         # l2 splits off 4 of its 84 eigenvalues at (1 + ||X||)(1 + ||Y||) = 1.2e5, which SPLIT_CONDITION_MAX refuses;
-        # a complex form is never split: both keep the QZ form as it was before the split, bit for bit
-        S, T, X, Y = _radiality_form(pencil)
+        # a complex form is never split: both keep the pencil's Schur form itself
+        S, T, X, Y = _radiality_form(pencil, d1)
         assert X.shape == Y.shape == (pencil.n, 0)
-        if pencil.E.imag.any():
-            assert S is pencil.qz[0] and T is pencil.qz[1]
-        else:
-            assert all(np.array_equal(M, M0) for M, M0 in zip((S, T), _one_block_form(pencil)))
+        assert S is pencil.schur[0] and T is pencil.schur[1]
 
     def test_guard_decides_l2(self, monkeypatch):
         # with the limit raised past l2's 1.2e5 the split is taken, and the ratio still matches the one-block one
         pencil = build_l2_example(L2ExampleParams(K=40))
         monkeypatch.setattr(indices, "SPLIT_CONDITION_MAX", 1e6)
-        S, T, X, Y = _radiality_form(pencil)
-        assert X.shape == (80, 4)
+        form = _radiality_form(pencil, 80)
+        assert form[2].shape == (80, 4)
         args = (1, 0.5, 1e3, 3, 40)
-        assert _sampled_ratio(pencil, *args)[0] == pytest.approx(
-            _sampled_ratio(pencil, *args, form=_one_block_form(pencil))[0], rel=1e-12)
+        assert _sampled_ratio(form, *args)[0] == pytest.approx(_sampled_ratio(_one_block_form(pencil), *args)[0], rel=1e-12)
 
     @settings(max_examples=12)
     @given(d1=st.integers(2, 40), nilpotency=st.integers(1, 3), chains=st.integers(1, 2), seed=st.integers(0, 2**16))
     @example(d1=23, nilpotency=2, chains=1, seed=89)  # split into 23 + 2
-    @example(d1=10, nilpotency=2, chains=2, seed=0)  # one block: the largest gap is among the infinite eigenvalues
+    @example(d1=10, nilpotency=2, chains=2, seed=0)  # split into 10 + 4, see test_split_at_the_construction_d1
     def test_split_matches_one_block_or_is_refused(self, d1, nilpotency, chains, seed):
         pencil = _real_weierstrass_pencil(seed, d1, nilpotency, chains)
-        form = _radiality_form(pencil)
+        form = _radiality_form(pencil, d1)
         args = (max(nilpotency - 1, 0), 1.0, 10.0, 3, 10)
-        split, one_block = (_sampled_ratio(pencil, *args, form=f)[0] for f in (form, _one_block_form(pencil)))
+        split, one_block = (_sampled_ratio(f, *args)[0] for f in (form, _one_block_form(pencil)))
         assert form[2].shape[1] == 0 or split == pytest.approx(one_block, rel=1e-10)
+
+    def test_split_at_the_construction_d1(self):
+        # 10 finite eigenvalues and two index-2 chains: the largest gap of log |s|/(|s| + |t|) lies among the 4
+        # infinite ones, and a cut there kept one 14 x 14 block; the split at the caller's d1 = 10 is taken
+        X, Y = _radiality_form(_real_weierstrass_pencil(0, 10, 2, 2), 10)[2:]
+        assert X.shape == Y.shape == (10, 4)
 
 
 _KINDS = ["dense", "quasi-triangular", "rank-1", "zero"]
@@ -596,10 +598,12 @@ class TestArgumentValidation:
             ({"num_samples": 10.5}, "num_samples"),
             ({"seed": 1.5}, "seed"),
             ({"seed": -1}, "seed"),
+            ({"d1": 1.5}, "d1"),
+            ({"d1": -1}, "d1"),
         ],
     )
     def test_radiality_nonfinite_rejected(self, kwargs, name):
-        args = {"p": 0, "omega": 0.5, "box_radius": 10.0} | kwargs
+        args = {"p": 0, "omega": 0.5, "box_radius": 10.0, "d1": 1} | kwargs
         with pytest.raises(ValueError, match=f"^{name} must be"):
             verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), **args)
 
@@ -640,7 +644,7 @@ class TestIndexRelations:
         p = MatrixPencil(np.eye(1), [[-1.0]])
         d = decompose(p)
         est = estimate_resolvent_index_real(p, 0.1, 1e3)
-        rad = verify_radiality(p, 0, omega=0.5, box_radius=10.0, num_samples=100)
+        rad = verify_radiality(p, 0, omega=0.5, box_radius=10.0, d1=1, num_samples=100)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 0 and rep["p_res"] == 0 and rep["p_rad"] == 0
         assert not rep["chain_holds"]  # 0+1 != 0 in the index-0 ODE case
@@ -651,7 +655,7 @@ class TestIndexRelations:
         model = build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0])
         d = decompose(model.pencil)
         est = estimate_resolvent_index_real(model.pencil, 0.5, 1e3)
-        rad = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, num_samples=200)
+        rad = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 2 and rep["p_res"] == 2 and rep["p_rad"] == 1
         assert rep["chain_holds"]
@@ -660,7 +664,7 @@ class TestIndexRelations:
         p = MatrixPencil(N2, np.eye(2))
         d = decompose(p)
         est = estimate_resolvent_index_real(p, 0.1, 1e3)
-        rad = verify_radiality(p, 1, omega=0.5, box_radius=100.0, num_samples=100)
+        rad = verify_radiality(p, 1, omega=0.5, box_radius=100.0, d1=0, num_samples=100)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 2
         assert rep["res_eq_nilp"]

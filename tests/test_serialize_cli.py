@@ -682,8 +682,8 @@ class TestReportSections:
 
 
 class TestOneQzPerCall:
-    """Each QZ form is computed once per call: the complex one cached on the pencil,
-    and for a real pencil the real one of the radiality sampling; no call runs ``eig``."""
+    """Each call computes one QZ form, the one cached on the pencil, which every stage shares
+    (for a real pencil the complex view is derived from it); no call runs ``eig``."""
 
     @pytest.fixture
     def scipy_calls(self, monkeypatch):
@@ -704,7 +704,15 @@ class TestOneQzPerCall:
 
     def test_analyze(self, tmp_path, scipy_calls, ph_pencil_file):
         assert main(["analyze", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "10"]) == 0
-        assert scipy_calls == {"qz": 2, "eig": 0}
+        assert scipy_calls == {"qz": 1, "eig": 0}
+
+    def test_indices(self, tmp_path, scipy_calls, ph_pencil_file):
+        assert main(["indices", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "10"]) == 0
+        assert scipy_calls == {"qz": 1, "eig": 0}
+
+    def test_verify_ph(self, tmp_path, scipy_calls, ph_pencil_file):
+        assert main(["verify-ph", ph_pencil_file, "--output-dir", str(tmp_path)]) == 0
+        assert scipy_calls == {"qz": 1, "eig": 0}
 
     def test_simulate(self, tmp_path, scipy_calls, ph_pencil_file):
         pencil = load_pencil(ph_pencil_file).pencil
@@ -718,6 +726,11 @@ class TestOneQzPerCall:
     def test_decompose(self, tmp_path, scipy_calls, ph_pencil_file):
         assert main(["decompose", ph_pencil_file, "--output-dir", str(tmp_path)]) == 0
         assert scipy_calls == {"qz": 0, "eig": 0}
+
+    def test_only_core_binds_qz(self):
+        # the one QZ form is MatrixPencil.schur's: no other module can run a QZ of its own
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "daepencil" and key != "daepencil.core"]
+        assert modules and not [m.__name__ for m in modules if scipy.linalg.qz in vars(m).values()]
 
 
 class TestQuadratureRecord:

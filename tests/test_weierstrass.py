@@ -432,6 +432,12 @@ class TestZeroDynamics:
         with pytest.raises(DegeneratePairing):
             build_zero_dynamics(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
+    def test_inverse_residual_typed_error(self, monkeypatch):
+        # a residual check that fails is a PencilError naming the matrix, so the CLI reports it as JSON
+        monkeypatch.setattr(weierstrass, "spectral_norm", lambda M: 1.0)
+        with pytest.raises(IllConditionedTransform, match=r"^U inverse residual \|\|U U\^-1 - I\|\| 1\.000e\+00 > 1\.000e-12$"):
+            build_zero_dynamics(np.diag([-1.0, -2.0]), np.ones(2), np.ones(2))
+
 
 class TestReconstruct:
     def test_trivial_roundtrip(self):
