@@ -229,10 +229,10 @@ def resolvent_norms(pencil: MatrixPencil, lams) -> tuple[list[ResolventSample], 
     """(``resolvent_norm`` at each shift in ``lams``, most Lanczos steps, SVD fallbacks), from ``_golub_kahan`` on
     (lambda*S - T)^{-1} of the QZ form by back-substitution, 64 shifts a run.  ||M||_F / sqrt(n) <= sigma_max(M)
     <= ||M||_F, M = lambda*S - T, decides kappa <= kappa_max(n); an unsettled or straddling shift gets the SVD."""
-    S, T = pencil.qz[:2]
+    S, T, Q = pencil.qz[:3]
     Sa, Ta = (np.ascontiguousarray(M.conj().T[::-1, ::-1]) for M in (S, T))  # adjoint, upper triangular
     n, lams, rng = pencil.n, np.asarray(lams, dtype=complex).ravel(), np.random.default_rng(0)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start = Q.conj().T @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))  # seeded in the pencil's coordinates
     sigma, steps, settled = (np.concatenate(column) for column in zip(*[  # the basis stays O(k n 64)
         _golub_kahan(lambda V, z=z, d=d: _back_substitute(S, T, z, V, d),
                      lambda U, z=z, d=d: _back_substitute(Sa, Ta, z.conj(), U[::-1], d.conj()[::-1])[::-1],

@@ -3,10 +3,10 @@
 The real (complex) resolvent index is the smallest integer p such that
 ``||(lambda E - A)^{-1}|| <= C |lambda|^{p-1}`` on a real ray (right
 half-plane).  We estimate it by fitting the log-log growth of sampled
-resolvent norms; the radiality bound is probed by sampling right pseudo-resolvent products at
-real shifts, one explicit inverse per shift and block of the pencil's one Schur form, MatrixPencil.schur (a real form
-split by one Sylvester similarity into the blocks of the caller's d1 finite and of the infinite eigenvalues), the left
-ones by similarity with omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
+resolvent norms; the radiality bound is probed by sampling right pseudo-resolvent products at real shifts, one
+explicit inverse per shift on one block of the pencil's Schur form, MatrixPencil.schur: the finite Weierstrass block
+where the infinite one's products vanish, else the whole form.  The left products follow by similarity with
+omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import reduce
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import block_diag, expm, get_lapack_funcs
+from scipy.linalg import expm, get_lapack_funcs
 
 from .core import MatrixPencil, _golub_kahan, as_complex_matrix, resolvent_norms, spectral_norm
 from .errors import OverflowRisk, ShiftOutsideResolventSet
@@ -67,6 +67,7 @@ class RadialityEvidence:
     C: float  # the empirical radiality constant: the largest weighted product norm in the box
     max_ratio_wide: float
     verdict: str  # "supported" | "falsified"
+    sampled_dimension: int  # d1 where the finite Weierstrass block was sampled alone, n where the whole Schur form was
     lanczos_steps: int  # most steps any product took, over both boxes
     svd_fallbacks: int
 
@@ -153,20 +154,24 @@ def estimate_resolvent_index_complex(
     return _grid_estimate(pencil, omega, [complex(wp, y) for wp in line_res for y in ys], binned)
 
 
-def _radiality_form(pencil: MatrixPencil, d1: int) -> tuple[np.ndarray, ...]:
-    """(S, T, X, Y): the pencil's Schur form, a real one reordered by dtgsen with the d1 of MatrixPencil.finite first
-    and [[I, X], [0, I]] (S, T) [[I, Y], [0, I]] block diagonal by dtgsyl (Kagstrom & Poromaa, ACM TOMS 22, 1996); one
-    block where that fails, dtgsen moves m != d1 eigenvalues, and on a complex form (scipy wraps no ztgsyl)."""
-    (S, T), n = pencil.schur[:2], pencil.n
-    if not np.iscomplexobj(S) and 0 < d1 < n:
+def _radiality_form(pencil: MatrixPencil, d1: int) -> tuple:
+    """(S, T, B, L, chunk): the block to sample, its outer factors and the samples per Lanczos run, about 4 MB of the
+    whole form's products.  A real Schur form reordered by dtgsen with the d1 of MatrixPencil.finite first and
+    [[I, X], [0, I]] (S, T) [[I, Y], [0, I]] block diagonal by dtgsyl (Kagstrom & Poromaa, ACM TOMS 22, 1996) gives
+    its finite block (S11, T11), with B B^T = I + Y Y^T and L L^T = I + X X^T; the whole form, with B = L = None for
+    I, where that fails, dtgsen moves m != d1 eigenvalues, d1 is 0 or n, and on a complex form (scipy wraps no
+    ztgsyl)."""
+    (S, T), chunk = pencil.schur[:2], max(1, 2**22 // pencil.schur[0].nbytes)
+    if not np.iscomplexobj(S) and 0 < d1 < len(S):
         tgsen, tgsyl = get_lapack_funcs(("tgsen", "tgsyl"), (S, T))  # q and z are not referenced at wantq = wantz = 0
         T2, S2, *_, m, _, _, _, info = tgsen(pencil.finite(d1).astype(np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)
         R, L, scale, _, info_syl = tgsyl(T2[:d1, :d1], T2[d1:, d1:], -T2[:d1, d1:],
                                          S2[:d1, :d1], S2[d1:, d1:], -S2[:d1, d1:])
         X, Y = (-L / scale, R / scale) if scale > 0 and not (info or info_syl or m != d1) else (np.inf, np.inf)
         if (1.0 + spectral_norm(X)) * (1.0 + spectral_norm(Y)) <= SPLIT_CONDITION_MAX:
-            return S2, T2, X, Y
-    return S, T, np.zeros((n, 0)), np.zeros((n, 0))
+            B, L = (np.linalg.cholesky(np.eye(d1) + C @ C.T) for C in (Y, X))
+            return S2[:d1, :d1], T2[:d1, :d1], B, L, chunk
+    return S, T, None, None, chunk
 
 
 def _shift_inverse(S: np.ndarray, T: np.ndarray, ks: np.ndarray, x: float, trtri) -> np.ndarray:
@@ -192,27 +197,22 @@ def _shift_inverse(S: np.ndarray, T: np.ndarray, ks: np.ndarray, x: float, trtri
 
 
 def _max_radiality_ratio(
-    S: np.ndarray, T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int, omega: float, box_radius: float, n_max: int,
+    S: np.ndarray, T: np.ndarray, B, L, chunk: int, p: int, omega: float, box_radius: float, n_max: int,
     num_samples: int, rng: np.random.Generator,
 ) -> tuple[float, int, int]:
-    # With (S, T, X, Y) = _radiality_form(pencil), G = (x S - T)^{-1} gives the right factor G S = (I + G T) / x, whose
-    # exact I keeps large x and index-3 products accurate.  As T G S = S G T, K = omega S - T has K G S = S G K, so the
-    # left product is K R K^{-1} for the right one R.  Each block b has its own factors and stack of R_b^n, and Lanczos
-    # applies R^n = P blkdiag(R_b^n) P^{-1} and K R^n K^{-1} = P blkdiag(K_b R_b^n K_b^{-1}) P^{-1} with P = [[I, C],
-    # [0, I]], C = Y and C = -X, as (S, T) = [[I, -X], [0, I]] blkdiag((S_b, T_b)) [[I, -Y], [0, I]].
+    # With (S, T, B, L, chunk) = _radiality_form(pencil, d1), G = (x S - T)^{-1} gives the right factor
+    # G S = (I + G T) / x, whose exact I keeps large x and index-3 products accurate.  As T G S = S G T, K = omega S - T
+    # has K G S = S G K, so the left product is K R K^{-1} for the right one R.  Lanczos takes the norms of R^n B and
+    # K R^n K^{-1} L: on the finite block, those of the pencil's products, as the infinite block's vanish and
+    # P = [[I, Y], [0, I]] has P blkdiag(R^n, 0) P^{-1} = [[R^n, -R^n Y], [0, 0]]; on the whole form B = L = I.
+    def times(F, V):  # F V, with None for I
+        return V if F is None else F @ V
+
     def operators(V, m, adjoint):  # V[:, i] by right operator i < m, V[:, m + i] by left operator i, or by the adjoints
-        rows, cols, sign, couplings = (bottom, top, -1.0, [C.T for C in Cs]) if adjoint else (top, bottom, 1.0, Cs)
-        V, out = V.conj() if adjoint else V, np.empty_like(V)
-        V = V.copy() if Cs else V  # for the shears in place (a real V.conj() is V itself)
-        for half, C in zip((slice(0, m), slice(m, None)), couplings):  # P^{-1} V, or P^H V
-            V[rows, half] -= sign * (C @ V[cols, half])
-        for b, _, stack in blocks:  # M[i] V[:, i] and A M[i] B V[:, m + i]: two right-hand sides a matrix
-            M, A, B = stack[:m], K[b, b], K_inv[b, b]
-            M, A, B = (M.transpose(0, 2, 1), B.T, A.T) if adjoint else (M, A, B)
-            both = np.matmul(M, np.stack((V[b, :m].T, (B @ V[b, m:]).T), axis=2))
-            out[b, :m], out[b, m:] = both[..., 0].T, A @ both[..., 1].T
-        for half, C in zip((slice(0, m), slice(m, None)), couplings):  # then P, or P^{-H}
-            out[rows, half] += sign * (C @ out[cols, half])
+        (first, last), M = outer[adjoint], stack[:m]
+        V, M = (V.conj(), M.transpose(0, 2, 1)) if adjoint else (V, M)  # the stack is never conjugated
+        both = np.matmul(M, np.stack([times(F, V[:, h]).T for F, h in zip(first, (slice(0, m), slice(m, None)))], 2))
+        out = np.hstack([times(F, both[..., i].T) for i, F in enumerate(last)])  # M[i] B v and K M[i] K^{-1} L v
         return out.conj() if adjoint else out
     (trtri,), ks = get_lapack_funcs(("trtri",), (S, T)), np.flatnonzero(np.diagonal(T, -1))
     K, K_inv = omega * S - T, _shift_inverse(S, T, ks, omega, trtri)
@@ -221,33 +221,28 @@ def _max_radiality_ratio(
     if not cond < limit:  # core._lu's rule, rcond > 1e-12 max(1, 1/||K||_1), on the exact 1-norm condition
         raise ShiftOutsideResolventSet(f"radiality omega = {omega!r} is outside the resolvent set: omega S - T has "
                                        f"1-norm condition {cond:.3e}, not finite or above {limit:.3e}")
-    top, bottom, Cs = slice(0, len(X)), slice(len(X), None), (Y, -X) if X.size else ()  # P's C, right then left
-    chunk = max(1, 2**22 // S.nbytes)  # samples per Lanczos run: about 4 MB of products on one block, less when split
-    blocks = [(b, np.flatnonzero(np.diagonal(T[b, b], -1)), np.empty((chunk, *S[b, b].shape), dtype=S.dtype))
-              for b in (top, bottom) if S[b, b].size]
-    worst, steps, fallbacks, weights = 0.0, 0, 0, np.empty(chunk)
+    W = K_inv if L is None else K_inv @ L
+    outer = {False: ((B, W), (None, K)), True: ((None, K.T), (None if B is None else B.T, W.T))}  # before, after M
+    worst, steps, fallbacks = 0.0, 0, 0
+    stack, weights = np.empty((chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
     for sample in range(num_samples):
         lams = omega + box_radius * rng.uniform(size=p + 1)
         n, i = int(rng.integers(1, n_max + 1)), sample % chunk
-        for b, ksb, stack in blocks:
-            factors = [_shift_inverse(S[b, b], T[b, b], ksb, x, trtri) @ T[b, b] for x in lams]
-            for G, x in zip(factors, lams):
-                G.ravel()[:: len(G) + 1] += 1.0
-                G /= x
-            stack[i] = np.linalg.matrix_power(reduce(np.matmul, factors), n)
-            if not np.isfinite(stack[i]).all():
-                raise ShiftOutsideResolventSet(f"radiality product at shifts {lams.tolist()} is not finite")
+        factors = [_shift_inverse(S, T, ks, x, trtri) @ T for x in lams]
+        for G, x in zip(factors, lams):
+            G.ravel()[:: len(G) + 1] += 1.0
+            G /= x
+        stack[i] = np.linalg.matrix_power(reduce(np.matmul, factors), n)
+        if not np.isfinite(stack[i]).all():
+            raise ShiftOutsideResolventSet(f"radiality product at shifts {lams.tolist()} is not finite")
         weights[i] = float(np.prod(np.abs(lams - omega)) ** n)
-        if i + 1 == chunk or sample + 1 == num_samples:  # the norms of R^n and K R^n K^{-1} by batched GEMVs
+        if i + 1 == chunk or sample + 1 == num_samples:  # the norms of R^n B and K R^n W by batched GEMVs
             m = i + 1
             sigma, most, settled = _golub_kahan(
                 lambda V: operators(V, m, False), lambda U: operators(U, m, True),
                 np.random.default_rng(0).standard_normal(len(S)).astype(S.dtype), 2 * m)
-            for j in np.flatnonzero(~settled):  # an SVD, of the operator P blkdiag(.) P^{-1} formed explicitly
-                F = block_diag(*(K[b, b] @ s[j - m] @ K_inv[b, b] if j >= m else s[j] for b, _, s in blocks))
-                F[top] += (Y, -X)[j // m] @ F[bottom]
-                F[:, bottom] -= F[:, top] @ (Y, -X)[j // m]
-                sigma[j] = spectral_norm(F)
+            for j in np.flatnonzero(~settled):  # an SVD, of the operator formed explicitly
+                sigma[j] = spectral_norm(K @ stack[j - m] @ W if j >= m else stack[j] if B is None else stack[j] @ B)
             worst = max(worst, float(np.max(sigma.reshape(2, -1).max(axis=0) * weights[:m])))
             steps, fallbacks = max(steps, int(most.max())), fallbacks + int(np.count_nonzero(~settled))
     return worst, steps, fallbacks
@@ -259,6 +254,7 @@ def verify_radiality(
     omega: float,
     box_radius: float,
     d1: int,
+    nilpotency: int,
     n_max: int = 3,
     num_samples: int = 500,
     seed: int = 0,
@@ -268,21 +264,24 @@ def verify_radiality(
     Draws shift tuples from (omega, omega + box_radius) and powers up to n_max, records the largest
     weighted product norm, then repeats at ten times the box radius.  A ratio growth beyond
     DIVERGENCE_FACTOR falsifies the bound; otherwise it is supported with empirical constant C.
-    "supported" is evidence, not proof.  d1, the number of finite eigenvalues, comes from the caller's decomposition
-    (the CLI passes decompose's).  A real pencil is sampled on its Schur form deflated into the blocks of those d1 and
-    of the infinite eigenvalues by one Sylvester similarity, where that is well conditioned, and the left products by
-    similarity with omega E - A there, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet.
-    That form has an index-k block's infinite eigenvalues at |s|/(|s| + |t|) ~ eps^(1/k), not 0: at index 3 p = 2 can
-    read "falsified" where the Weierstrass structure supports it (ROADMAP.md: radiality on decompose's structure)."""
-    _require_above(p=(-1, p, Integral), d1=(-1, d1, Integral), n_max=(0, n_max, Integral),
-                   num_samples=(0, num_samples, Integral), seed=(-1, seed, Integral), omega=(-np.inf, omega),
-                   box_radius=(0.0, box_radius))
-    rng, form = np.random.default_rng(seed), _radiality_form(pencil, d1)
+    "supported" is evidence, not proof.  d1, the number of finite eigenvalues, and nilpotency, the index k, come from
+    the caller's decomposition (the CLI passes decompose's).  Where p + 1 >= k, so that every product of p + 1 factors
+    on the infinite block is a multiple of N^(p + 1) = 0, and a real Schur form splits by one well-conditioned
+    Sylvester similarity into the blocks of those d1 finite and of the infinite eigenvalues, the finite block alone is
+    sampled, and the verdict is about decompose's Weierstrass structure.  Else the whole form is, which has an index-k
+    block's infinite eigenvalues at |s|/(|s| + |t|) ~ eps^(1/k), not 0: at index 3 and p = 2 a complex form can read
+    "falsified" where the Weierstrass structure supports it (ROADMAP.md: radiality on decompose's structure).
+    sampled_dimension is the sampled block's size.  The left products come by similarity with omega S - T on that
+    block, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet."""
+    _require_above(p=(-1, p, Integral), d1=(-1, d1, Integral), nilpotency=(-1, nilpotency, Integral),
+                   n_max=(0, n_max, Integral), num_samples=(0, num_samples, Integral), seed=(-1, seed, Integral),
+                   omega=(-np.inf, omega), box_radius=(0.0, box_radius))
+    rng, form = np.random.default_rng(seed), _radiality_form(pencil, d1 if p + 1 >= nilpotency else 0)
     (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = (  # the box, then ten times it
         _max_radiality_ratio(*form, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
     return RadialityEvidence(
         p=p, omega=omega, n_max=n_max, num_samples=num_samples, C=ratio, max_ratio_wide=ratio_wide,
-        verdict="falsified" if ratio_wide > DIVERGENCE_FACTOR * ratio else "supported",
+        verdict="falsified" if ratio_wide > DIVERGENCE_FACTOR * ratio else "supported", sampled_dimension=len(form[0]),
         lanczos_steps=max(steps, steps_wide), svd_fallbacks=fallbacks + fallbacks_wide,
     )
 

@@ -98,8 +98,8 @@ def test_criterion_1_complex_growth(capsys, l2_pencil):
 
 def test_criterion_2_l2_radiality(capsys, l2_pencil):
     start = time.time()
-    hi = verify_radiality(l2_pencil, 1, omega=0.5, box_radius=8e3, d1=80, num_samples=500, n_max=3)
-    lo = verify_radiality(l2_pencil, 0, omega=0.5, box_radius=8e3, d1=80, num_samples=500, n_max=3)
+    hi = verify_radiality(l2_pencil, 1, omega=0.5, box_radius=8e3, d1=80, nilpotency=2, num_samples=500, n_max=3)
+    lo = verify_radiality(l2_pencil, 0, omega=0.5, box_radius=8e3, d1=80, nilpotency=2, num_samples=500, n_max=3)
     elapsed = time.time() - start
     ok = hi.verdict == "supported" and lo.verdict == "falsified" and elapsed <= 60.0
     _verdict(
@@ -121,8 +121,10 @@ def test_criterion_3_zero_dynamics(capsys, zero_dyn_model):
     A_tl = model.A_tilde[: m - 1, : m - 1]
     A_expect = scipy.linalg.block_diag(A_tl, np.eye(2))
     block_resid = max(block_resid, spectral_norm(model.A_tilde - A_expect))
-    hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=m - 1, num_samples=200)
-    lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, d1=m - 1, num_samples=200)
+    hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=m - 1, nilpotency=d.nilpotency_index,
+                           num_samples=200)
+    lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, d1=m - 1, nilpotency=d.nilpotency_index,
+                           num_samples=200)
     elapsed = time.time() - start
     ok = (
         d.nilpotency_index == 2

@@ -14,6 +14,8 @@ from daepencil import (
     build_l2_example,
     build_nanorod,
     build_zero_dynamics,
+    estimate_resolvent_index_complex,
+    estimate_resolvent_index_real,
     left_pseudo_resolvent,
     probe_regularity,
     resolvent,
@@ -366,6 +368,20 @@ class TestResolventNorms:
         samples, steps, fallbacks = resolvent_norms(pencil, lams)
         assert (steps, fallbacks) == (1, 3)
         assert samples == [resolvent_norm(pencil, lam) for lam in lams]
+
+    def test_steps_do_not_depend_on_the_qz_route(self):
+        # the seeded start vector is drawn in the pencil's coordinates, so the Lanczos runs on the rotated real QZ
+        # form and on a complex QZ form of the same pencil are one run in exact arithmetic
+        rotated = build_nanorod(NanorodParams(n_grid=10)).pencil
+        injected = MatrixPencil(rotated.E, rotated.A)
+        T, S, Q, Z = scipy.linalg.qz(rotated.A, rotated.E, output="complex")
+        injected.__dict__["qz"] = (S, T, Q, Z)
+        runs = [(estimate_resolvent_index_real(p, 1.0, 1e3), estimate_resolvent_index_complex(p, 1.0, 1e3))
+                for p in (rotated, injected)]
+        assert np.count_nonzero(np.diagonal(rotated.schur[1], -1)) and not np.iscomplexobj(rotated.schur[0])
+        assert [e.lanczos_steps for e in runs[0]] == [e.lanczos_steps for e in runs[1]]
+        for a, b in zip(*runs):
+            assert a.slope == pytest.approx(b.slope, rel=1e-12)
 
     def test_singular_shift_not_in_resolvent_set(self):
         pencil = MatrixPencil(np.eye(2), np.diag([1.0, 2.0]))

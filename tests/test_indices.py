@@ -75,7 +75,7 @@ class TestComplexIndex:
 
 class TestRadiality:
     def test_scalar_contraction_supported(self):
-        ev = verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, omega=1e-6, box_radius=10.0, d1=1)
+        ev = verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, omega=1e-6, box_radius=10.0, d1=1, nilpotency=0)
         assert ev.verdict == "supported"
         assert ev.C == pytest.approx(1.0, abs=0.1)
 
@@ -84,8 +84,8 @@ class TestRadiality:
         # the sampling box must extend past the saturation scale of the
         # empirical constant, otherwise genuine growth of the ratio is still
         # visible for the supported order
-        lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
-        hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
+        lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, d1=3, nilpotency=2, num_samples=200)
+        hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, nilpotency=2, num_samples=200)
         assert lo.verdict == "falsified"
         assert hi.verdict == "supported"
 
@@ -96,13 +96,13 @@ class TestRadiality:
         A1 = 0.5 * (W - W.T) - np.eye(3)
         E = scipy.linalg.block_diag(np.eye(3), np.triu(np.ones((2, 2)), 1))
         A = scipy.linalg.block_diag(A1, np.eye(2))
-        ev = verify_radiality(MatrixPencil(E, A), 1, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
+        ev = verify_radiality(MatrixPencil(E, A), 1, omega=0.5, box_radius=100.0, d1=3, nilpotency=2, num_samples=200)
         assert ev.verdict == "supported"
 
     def test_deterministic_given_seed(self):
         p = MatrixPencil(np.eye(1), [[-1.0]])
-        a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, num_samples=50, seed=3)
-        b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, num_samples=50, seed=3)
+        a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, nilpotency=0, num_samples=50, seed=3)
+        b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, nilpotency=0, num_samples=50, seed=3)
         assert a.C == b.C
 
     def test_one_real_qz_for_both_boxes(self, monkeypatch):
@@ -114,7 +114,7 @@ class TestRadiality:
 
         monkeypatch.setattr(core.scipy.linalg, "qz", counted)
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        verify_radiality(pencil, 1, omega=1.0, box_radius=10.0, d1=12, num_samples=5)
+        verify_radiality(pencil, 1, omega=1.0, box_radius=10.0, d1=12, nilpotency=2, num_samples=5)
         assert calls == ["real"]
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -122,14 +122,14 @@ class TestRadiality:
     def test_irregular_pencil_typed_error(self, E):
         # every shift is singular: a zero LU pivot, never an untyped LinAlgError or a NaN
         with pytest.raises(ShiftOutsideResolventSet, match="zero LU pivot"):
-            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0, d1=0)
+            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0, d1=0, nilpotency=1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_product_typed_error(self):
         # x*E overflows for this E: the products are not finite and must not reach the norms
         pencil = MatrixPencil([[0.0, 1e308], [0.0, 0.0]], np.eye(2))
         with pytest.raises(ShiftOutsideResolventSet, match="not finite"):
-            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0, d1=0)
+            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0, d1=0, nilpotency=2)
 
 
 def _dense_radiality_ratio(pencil, p, omega, box_radius, n_max, num_samples, rng):
@@ -175,14 +175,15 @@ def _block_radiality_ratio(blocks, p, omega, box_radius, n_max, num_samples, rng
 
 
 def _sampled_ratio(form, *args, seed=7):
-    """(C, most Lanczos steps, SVD fallbacks) of indices._max_radiality_ratio on the radiality ``form`` (S, T, X, Y),
-    with args = (p, omega, box_radius, n_max, num_samples): the one call of that private signature."""
+    """(C, most Lanczos steps, SVD fallbacks) of indices._max_radiality_ratio on the radiality ``form``
+    (S, T, B, L, chunk), with args = (p, omega, box_radius, n_max, num_samples): the one call of that private
+    signature.  A form of the finite block holds the pencil's products only where p + 1 >= the nilpotency index."""
     return _max_radiality_ratio(*form, *args, np.random.default_rng(seed))
 
 
 def _one_block_form(pencil):
-    """The pencil's Schur form as one block, unreordered."""
-    return *pencil.schur[:2], np.zeros((pencil.n, 0)), np.zeros((pencil.n, 0))
+    """The pencil's whole Schur form, unreordered: the form at d1 = 0."""
+    return _radiality_form(pencil, 0)
 
 
 class TestRadialityRatio:
@@ -190,7 +191,8 @@ class TestRadialityRatio:
         "pencil, d1, p, rel",
         [
             (build_nanorod(NanorodParams(n_grid=4)).pencil, 12, 1, 1e-10),
-            (build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil, 3, 0, 1e-10),
+            # p + 1 < 2, the nilpotency index: the infinite block's products do not vanish, so the whole form
+            (build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0]).pencil, 0, 0, 1e-10),
             (MatrixPencil(scipy.linalg.block_diag(np.eye(3), N2), scipy.linalg.block_diag(-np.eye(3), np.eye(2))), 3, 2,
              1e-10),
             # n > LANCZOS_STEPS: the Krylov space does not span C^n, so the stop rule decides
@@ -218,10 +220,10 @@ class TestRadialityRatio:
 
     def test_step_cap_falls_back_to_svd(self, monkeypatch):
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        lanczos = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, num_samples=10)
+        lanczos = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, nilpotency=2, num_samples=10)
         monkeypatch.setattr(core, "LANCZOS_STEPS", 2)
-        capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, num_samples=10)
-        assert (lanczos.lanczos_steps, lanczos.svd_fallbacks) == (8, 0)
+        capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, nilpotency=2, num_samples=10)
+        assert (lanczos.lanczos_steps, lanczos.svd_fallbacks, lanczos.sampled_dimension) == (7, 0, 12)
         assert (capped.lanczos_steps, capped.svd_fallbacks) == (2, 40)  # 2 products, 10 samples, 2 boxes
         assert capped.C == pytest.approx(lanczos.C, rel=1e-13)
         assert capped.max_ratio_wide == pytest.approx(lanczos.max_ratio_wide, rel=1e-13)
@@ -260,9 +262,9 @@ class TestRadialityRatio:
         assert seen and set(seen) == {np.dtype(dtype)}
 
     def test_one_triangular_inverse_per_shift(self, monkeypatch):
-        # the design: per shift and block one trtri on the eliminated QZ form, one more per box call for
-        # K^{-1}, K = omega S - T, then only matrix products and Lanczos on the stacked products; no
-        # LU, no getri, no triangular solves with n right-hand sides, no SVD and no symmetric eigensolve
+        # the design: per shift one trtri on the eliminated finite block of the QZ form, one more per box call for
+        # K^{-1}, K = omega S - T, then only matrix products and Lanczos on the stacked products; no LU, no getri,
+        # no triangular solves with n right-hand sides, no SVD and no symmetric eigensolve
         calls = []
 
         def counting_get_lapack_funcs(names, arrays):
@@ -281,25 +283,25 @@ class TestRadialityRatio:
                              (scipy.linalg, "eigh"), (np.linalg, "eigh"), (indices, "resolvent_norms")]:
             monkeypatch.setattr(module, name, forbidden)
         _sampled_ratio(form, 1, 0.5, 10.0, 3, 7)
-        # K^{-1} of the whole form, then 7 samples of 2 shifts in each block
-        assert calls == [("trtri",), (20, 20)] + ([(12, 12)] * 2 + [(8, 8)] * 2) * 7
+        # K^{-1} of the finite block, then 7 samples of 2 shifts on it: the 8 x 8 infinite block is never inverted
+        assert calls == [("trtri",), (12, 12)] + [(12, 12)] * 2 * 7
         assert not any(hasattr(indices, name) for name in ("lu_factor", "lu_solve", "eigh"))
 
     @pytest.mark.parametrize(
-        "pencil, d1, p, box_radius",
+        "pencil, d1, nilpotency, p, box_radius",
         [
-            (build_nanorod(NanorodParams(n_grid=10)).pencil, 30, 1, 1e3),
-            (build_l2_example(L2ExampleParams(K=40)), 80, 1, 8e3),
-            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 3, 2, 1e3),
-            (random_regular_pencil(np.random.default_rng(0), 20, 2), 20, 1, 1e3),
+            (build_nanorod(NanorodParams(n_grid=10)).pencil, 30, 2, 1, 1e3),
+            (build_l2_example(L2ExampleParams(K=40)), 80, 2, 1, 8e3),
+            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 3, 3, 2, 1e3),
+            (random_regular_pencil(np.random.default_rng(0), 20, 2), 20, 2, 1, 1e3),
         ],
         ids=["nanorod-10", "l2-40", "random-index-3", "complex-d1-20"],
     )
-    def test_ratios_equal_lu_getri_reference(self, monkeypatch, pencil, d1, p, box_radius):
+    def test_ratios_equal_lu_getri_reference(self, monkeypatch, pencil, d1, nilpotency, p, box_radius):
         # the elimination step pivots and scales as getrf does, and trtri is getri's own first step;
         # U can differ in a last bit where getrf fuses a multiply-add, yet on these pencils every
         # ratio equals, bit for bit, the one from an LU and getri of x S - T at each shift
-        fast = verify_radiality(pencil, p, 0.5, box_radius, d1, num_samples=60)
+        fast = verify_radiality(pencil, p, 0.5, box_radius, d1, nilpotency, num_samples=60)
 
         def lu_getri_inverse(S, T, ks, x, trtri):
             getri = scipy.linalg.get_lapack_funcs("getri", (S,))
@@ -308,7 +310,7 @@ class TestRadialityRatio:
             return X
 
         monkeypatch.setattr(indices, "_shift_inverse", lu_getri_inverse)
-        ref = verify_radiality(pencil, p, 0.5, box_radius, d1, num_samples=60)
+        ref = verify_radiality(pencil, p, 0.5, box_radius, d1, nilpotency, num_samples=60)
         assert (fast.C, fast.max_ratio_wide) == (ref.C, ref.max_ratio_wide)
 
     def test_shift_inverse_of_every_block_pivot(self):
@@ -360,7 +362,7 @@ class TestRadialityRatio:
         G, H = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
         pencil = MatrixPencil(scale * G @ H, scale * G @ np.diag([0.5, -1.0, -2.0, -3.0]) @ H)
         with pytest.raises(ShiftOutsideResolventSet, match=r"omega = 0\.5 .* 1-norm condition \d\.\d+e\+1[5-7], "):
-            verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=4, num_samples=10)
+            verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=4, nilpotency=0, num_samples=10)
 
     @pytest.mark.parametrize(
         "pencil, d1, p, box_radius, rel",
@@ -407,8 +409,8 @@ def _mp_radiality_ratio(mpmath, pencil, p, omega, box_radius, n_max, num_samples
 
 
 def _real_weierstrass_pencil(seed, d1, nilpotency, chains, cond_max=10.0):
-    """Real G (blkdiag(I, N), blkdiag(A1, I)) H: A1 stable, N with ``chains`` Jordan chains of length
-    ``nilpotency``, cond(G), cond(H) <= cond_max."""
+    """(pencil, blocks): the real pencil G (blkdiag(I, N), blkdiag(A1, I)) H with A1 stable, N with ``chains`` Jordan
+    chains of length ``nilpotency``, cond(G), cond(H) <= cond_max, and its blocks (A1, N, G, H)."""
     rng = np.random.default_rng(seed)
     A1 = rng.standard_normal((d1, d1))
     A1 -= (np.linalg.eigvals(A1).real.max() + 0.5) * np.eye(d1)
@@ -420,22 +422,26 @@ def _real_weierstrass_pencil(seed, d1, nilpotency, chains, cond_max=10.0):
         return (U * np.exp(rng.uniform(0.0, np.log(cond_max), d1 + d2))) @ V.T
 
     G, H = well_conditioned(), well_conditioned()
-    return MatrixPencil(G @ scipy.linalg.block_diag(np.eye(d1), N) @ H, G @ scipy.linalg.block_diag(A1, np.eye(d2)) @ H)
+    E, A = G @ scipy.linalg.block_diag(np.eye(d1), N) @ H, G @ scipy.linalg.block_diag(A1, np.eye(d2)) @ H
+    return MatrixPencil(E, A), (A1, N, G, H)
 
 
 class TestRadialitySplit:
     @pytest.mark.parametrize("n_grid", [4, 10])
     def test_nanorod_splits_off_its_infinite_eigenvalues(self, n_grid):
-        # 3 n_grid finite eigenvalues first, the 2 n_grid infinite ones (beta = 0) in the second block, and both
-        # boxes match the one-block ratio on the unreordered real QZ form
+        # 3 n_grid finite eigenvalues make the sampled block, the 2 n_grid infinite ones (beta = 0) are split off, and
+        # at p = 1, where their products vanish, both boxes match the whole-form ratio on the unreordered real QZ form
         pencil = build_nanorod(NanorodParams(n_grid=n_grid)).pencil
         d1 = 3 * n_grid
-        S, T, X, Y = _radiality_form(pencil, d1)
-        assert X.shape == Y.shape == (d1, 2 * n_grid)
-        for M in (S, T):  # [[I, X], [0, I]] M [[I, Y], [0, I]] is block diagonal
-            assert np.linalg.norm(M[:d1, d1:] + M[:d1, :d1] @ Y + X @ M[d1:, d1:]) <= 1e-14 * np.linalg.norm(M)
+        S, T, B, L, _ = form = _radiality_form(pencil, d1)
+        assert S.shape == T.shape == B.shape == L.shape == (d1, d1)
+        assert not np.triu(B, 1).any() and not np.triu(L, 1).any()
+        assert np.linalg.norm(B, 2) * np.linalg.norm(L, 2) <= indices.SPLIT_CONDITION_MAX
+        (Sc, Tc), finite = pencil.qz[:2], pencil.finite(d1)  # the block holds the d1 finite eigenvalues
+        ref = np.diag(Tc)[finite] / np.diag(Sc)[finite]
+        assert np.abs(scipy.linalg.eigvals(T, S)[:, None] - ref).min(axis=1).max() <= 1e-10 * np.abs(ref).max()
         for box_radius in (1e3, 1e4):
-            split, steps, fallbacks = _sampled_ratio((S, T, X, Y), 1, 1.0, box_radius, 3, 40)
+            split, steps, fallbacks = _sampled_ratio(form, 1, 1.0, box_radius, 3, 40)
             one_block = _sampled_ratio(_one_block_form(pencil), 1, 1.0, box_radius, 3, 40)[0]
             assert split == pytest.approx(one_block, rel=1e-12)
             assert fallbacks == 0
@@ -447,17 +453,17 @@ class TestRadialitySplit:
     )
     def test_one_block_where_there_is_no_split(self, pencil, d1):
         # l2 splits off 4 of its 84 eigenvalues at (1 + ||X||)(1 + ||Y||) = 1.2e5, which SPLIT_CONDITION_MAX refuses;
-        # a complex form is never split: both keep the pencil's Schur form itself
-        S, T, X, Y = _radiality_form(pencil, d1)
-        assert X.shape == Y.shape == (pencil.n, 0)
+        # a complex form is never split: both sample the pencil's Schur form itself, with no outer factors
+        S, T, B, L, _ = _radiality_form(pencil, d1)
+        assert B is None and L is None
         assert S is pencil.schur[0] and T is pencil.schur[1]
 
     def test_guard_decides_l2(self, monkeypatch):
-        # with the limit raised past l2's 1.2e5 the split is taken, and the ratio still matches the one-block one
+        # with the limit raised past l2's 1.2e5 the split is taken, and the ratio still matches the whole-form one
         pencil = build_l2_example(L2ExampleParams(K=40))
         monkeypatch.setattr(indices, "SPLIT_CONDITION_MAX", 1e6)
         form = _radiality_form(pencil, 80)
-        assert form[2].shape == (80, 4)
+        assert form[0].shape == form[2].shape == (80, 80)
         args = (1, 0.5, 1e3, 3, 40)
         assert _sampled_ratio(form, *args)[0] == pytest.approx(_sampled_ratio(_one_block_form(pencil), *args)[0], rel=1e-12)
 
@@ -465,18 +471,32 @@ class TestRadialitySplit:
     @given(d1=st.integers(2, 40), nilpotency=st.integers(1, 3), chains=st.integers(1, 2), seed=st.integers(0, 2**16))
     @example(d1=23, nilpotency=2, chains=1, seed=89)  # split into 23 + 2
     @example(d1=10, nilpotency=2, chains=2, seed=0)  # split into 10 + 4, see test_split_at_the_construction_d1
-    def test_split_matches_one_block_or_is_refused(self, d1, nilpotency, chains, seed):
-        pencil = _real_weierstrass_pencil(seed, d1, nilpotency, chains)
+    @example(d1=3, nilpotency=3, chains=1, seed=0)  # index 3, where the whole form reads C = 5.89 against 2.46
+    def test_split_matches_block_reference_or_is_refused(self, d1, nilpotency, chains, seed):
+        # at p = k - 1 the finite block alone carries the products of the exact Weierstrass structure
+        pencil, blocks = _real_weierstrass_pencil(seed, d1, nilpotency, chains)
         form = _radiality_form(pencil, d1)
-        args = (max(nilpotency - 1, 0), 1.0, 10.0, 3, 10)
-        split, one_block = (_sampled_ratio(f, *args)[0] for f in (form, _one_block_form(pencil)))
-        assert form[2].shape[1] == 0 or split == pytest.approx(one_block, rel=1e-10)
+        args = (max(nilpotency - 1, 0), 1.0, 1e3, 3, 10)
+        split, ref = _sampled_ratio(form, *args)[0], _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
+        assert form[2] is None or split == pytest.approx(ref, rel=1e-10)
 
     def test_split_at_the_construction_d1(self):
         # 10 finite eigenvalues and two index-2 chains: the largest gap of log |s|/(|s| + |t|) lies among the 4
         # infinite ones, and a cut there kept one 14 x 14 block; the split at the caller's d1 = 10 is taken
-        X, Y = _radiality_form(_real_weierstrass_pencil(0, 10, 2, 2), 10)[2:]
-        assert X.shape == Y.shape == (10, 4)
+        S, T, B, L, _ = _radiality_form(_real_weierstrass_pencil(0, 10, 2, 2)[0], 10)
+        assert S.shape == T.shape == B.shape == L.shape == (10, 10)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_index_3_verdicts_of_the_block_reference(self, seed):
+        # p = 2 = k - 1 on real index-3 pencils: the whole form read its infinite block's rounding as growth, 5 of
+        # these 12 "falsified" with C up to 10x off; the finite block gives the exact structure's verdict and C
+        pencil, blocks = _real_weierstrass_pencil(seed, 3, 3, 1)
+        ev = verify_radiality(pencil, 2, 1.0, 1e3, 3, 3, num_samples=200, seed=0)
+        rng = np.random.default_rng(0)
+        ref, ref_wide = (_block_radiality_ratio(blocks, 2, 1.0, r, 3, 200, rng) for r in (1e3, 1e4))
+        assert ev.sampled_dimension == 3
+        assert ev.verdict == ("falsified" if ref_wide > indices.DIVERGENCE_FACTOR * ref else "supported")
+        assert ev.C == pytest.approx(ref, rel=1e-10)
 
 
 _KINDS = ["dense", "quasi-triangular", "rank-1", "zero"]
@@ -600,10 +620,12 @@ class TestArgumentValidation:
             ({"seed": -1}, "seed"),
             ({"d1": 1.5}, "d1"),
             ({"d1": -1}, "d1"),
+            ({"nilpotency": 1.5}, "nilpotency"),
+            ({"nilpotency": -1}, "nilpotency"),
         ],
     )
     def test_radiality_nonfinite_rejected(self, kwargs, name):
-        args = {"p": 0, "omega": 0.5, "box_radius": 10.0, "d1": 1} | kwargs
+        args = {"p": 0, "omega": 0.5, "box_radius": 10.0, "d1": 1, "nilpotency": 0} | kwargs
         with pytest.raises(ValueError, match=f"^{name} must be"):
             verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), **args)
 
@@ -644,7 +666,7 @@ class TestIndexRelations:
         p = MatrixPencil(np.eye(1), [[-1.0]])
         d = decompose(p)
         est = estimate_resolvent_index_real(p, 0.1, 1e3)
-        rad = verify_radiality(p, 0, omega=0.5, box_radius=10.0, d1=1, num_samples=100)
+        rad = verify_radiality(p, 0, omega=0.5, box_radius=10.0, d1=1, nilpotency=d.nilpotency_index, num_samples=100)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 0 and rep["p_res"] == 0 and rep["p_rad"] == 0
         assert not rep["chain_holds"]  # 0+1 != 0 in the index-0 ODE case
@@ -655,7 +677,8 @@ class TestIndexRelations:
         model = build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0])
         d = decompose(model.pencil)
         est = estimate_resolvent_index_real(model.pencil, 0.5, 1e3)
-        rad = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, num_samples=200)
+        rad = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, nilpotency=d.nilpotency_index,
+                               num_samples=200)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 2 and rep["p_res"] == 2 and rep["p_rad"] == 1
         assert rep["chain_holds"]
@@ -664,7 +687,7 @@ class TestIndexRelations:
         p = MatrixPencil(N2, np.eye(2))
         d = decompose(p)
         est = estimate_resolvent_index_real(p, 0.1, 1e3)
-        rad = verify_radiality(p, 1, omega=0.5, box_radius=100.0, d1=0, num_samples=100)
+        rad = verify_radiality(p, 1, omega=0.5, box_radius=100.0, d1=0, nilpotency=d.nilpotency_index, num_samples=100)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 2
         assert rep["res_eq_nilp"]

@@ -87,7 +87,7 @@ class TestNanorod:
         # supports radiality order 1 (order 0 lives on a constrained subspace
         # that the discretized pencil does not impose)
         ph = build_nanorod(NanorodParams(n_grid=10))
-        ev = verify_radiality(ph.pencil, 1, omega=1.0, box_radius=100.0, d1=30, num_samples=150)
+        ev = verify_radiality(ph.pencil, 1, omega=1.0, box_radius=100.0, d1=30, nilpotency=2, num_samples=150)
         assert ev.verdict == "supported"
 
 
