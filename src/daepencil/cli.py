@@ -75,7 +75,7 @@ def _index_report(args, pencil: MatrixPencil, decomp) -> tuple[dict, GrowthEstim
     )
     real = estimate_resolvent_index_real(pencil, omega, lambda_max, args.num_points)
     cplx = estimate_resolvent_index_complex(pencil, omega, lambda_max, args.num_lines, args.num_points)
-    rad = verify_radiality(pencil, p_rad, omega, args.box_radius, decomp.d1, decomp.nilpotency_index, n_max=args.n_max,
+    rad = verify_radiality(pencil, p_rad, omega, args.box_radius, decomp, n_max=args.n_max,
                            num_samples=args.num_samples, seed=args.seed)
     report = {
         "nilpotency": decomp.nilpotency_index,

@@ -4,8 +4,9 @@ The real (complex) resolvent index is the smallest integer p such that
 ``||(lambda E - A)^{-1}|| <= C |lambda|^{p-1}`` on a real ray (right
 half-plane).  We estimate it by fitting the log-log growth of sampled
 resolvent norms; the radiality bound is probed by sampling right pseudo-resolvent products at real shifts, one
-explicit inverse per shift on one block of the pencil's Schur form, MatrixPencil.schur: the finite Weierstrass block
-where the infinite one's products vanish, else the whole form.  The left products follow by similarity with
+explicit inverse per shift on one block of the pencil's Schur form, MatrixPencil.schur: where the infinite block's
+products vanish, the finite block of the form reordered at the d1 of the caller's decomposition, with outer factors
+from that decomposition's projectors, else the whole form.  The left products follow by similarity with
 omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
 """
 
@@ -38,9 +39,6 @@ SLOPE_TOLERANCE = 0.25
 #: exceeding its radiality order by one power shows a factor near 10, a
 #: radial one a factor near 1; 3 is the geometric midpoint.
 DIVERGENCE_FACTOR = 3.0
-#: largest (1 + ||X||_2)(1 + ||Y||_2) of the similarity that splits the real QZ form into two blocks: its condition
-#: multiplies the rounding of the radiality products, and 1e3 keeps C far inside report_diff's 1e-10
-SPLIT_CONDITION_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -154,22 +152,21 @@ def estimate_resolvent_index_complex(
     return _grid_estimate(pencil, omega, [complex(wp, y) for wp in line_res for y in ys], binned)
 
 
-def _radiality_form(pencil: MatrixPencil, d1: int) -> tuple:
+def _radiality_form(pencil: MatrixPencil, decomp) -> tuple:
     """(S, T, B, L, chunk): the block to sample, its outer factors and the samples per Lanczos run, about 4 MB of the
-    whole form's products.  A real Schur form reordered by dtgsen with the d1 of MatrixPencil.finite first and
-    [[I, X], [0, I]] (S, T) [[I, Y], [0, I]] block diagonal by dtgsyl (Kagstrom & Poromaa, ACM TOMS 22, 1996) gives
-    its finite block (S11, T11), with B B^T = I + Y Y^T and L L^T = I + X X^T; the whole form, with B = L = None for
-    I, where that fails, dtgsen moves m != d1 eigenvalues, d1 is 0 or n, and on a complex form (scipy wraps no
-    ztgsyl)."""
-    (S, T), chunk = pencil.schur[:2], max(1, 2**22 // pencil.schur[0].nbytes)
-    if not np.iscomplexobj(S) and 0 < d1 < len(S):
-        tgsen, tgsyl = get_lapack_funcs(("tgsen", "tgsyl"), (S, T))  # q and z are not referenced at wantq = wantz = 0
-        T2, S2, *_, m, _, _, _, info = tgsen(pencil.finite(d1).astype(np.int32), T, S, T, S, ijob=0, wantq=0, wantz=0)
-        R, L, scale, _, info_syl = tgsyl(T2[:d1, :d1], T2[d1:, d1:], -T2[:d1, d1:],
-                                         S2[:d1, :d1], S2[d1:, d1:], -S2[:d1, d1:])
-        X, Y = (-L / scale, R / scale) if scale > 0 and not (info or info_syl or m != d1) else (np.inf, np.inf)
-        if (1.0 + spectral_norm(X)) * (1.0 + spectral_norm(Y)) <= SPLIT_CONDITION_MAX:
-            B, L = (np.linalg.cholesky(np.eye(d1) + C @ C.T) for C in (Y, X))
+    whole form's products.  tgsen reorders MatrixPencil.schur with the d1 eigenvalues of MatrixPencil.finite first
+    and accumulates Q and Z, whose first d1 columns Q1 and Z1 span the finite left and right deflating subspaces.  Its
+    finite block (S11, T11) comes with B B^H = Z1^H P P^H Z1 and L L^H = Q1^H R R^H Q1 from the decomposition's
+    projectors P and R, their real parts on a real form; both are >= I.  The whole form, with B = L = None for I,
+    where decomp is None, d1 is 0 or n, or tgsen fails or moves m != d1 eigenvalues."""
+    S, T, Q, Z = pencil.schur
+    d1, chunk = 0 if decomp is None else decomp.d1, max(1, 2**22 // S.nbytes)
+    if 0 < d1 < len(S):
+        (tgsen,) = get_lapack_funcs(("tgsen",), (S, T))
+        T2, S2, *_, Q2, Z2, m, _, _, _, info = tgsen(pencil.finite(d1).astype(np.int32), T, S, Q, Z, ijob=0)
+        if not info and m == d1:
+            P, R = (M if np.iscomplexobj(S) else M.real for M in (decomp.P, decomp.R))
+            B, L = (np.linalg.cholesky(F @ F.conj().T) for F in (Z2[:, :d1].conj().T @ P, Q2[:, :d1].conj().T @ R))
             return S2[:d1, :d1], T2[:d1, :d1], B, L, chunk
     return S, T, None, None, chunk
 
@@ -200,11 +197,12 @@ def _max_radiality_ratio(
     S: np.ndarray, T: np.ndarray, B, L, chunk: int, p: int, omega: float, box_radius: float, n_max: int,
     num_samples: int, rng: np.random.Generator,
 ) -> tuple[float, int, int]:
-    # With (S, T, B, L, chunk) = _radiality_form(pencil, d1), G = (x S - T)^{-1} gives the right factor
+    # With (S, T, B, L, chunk) = _radiality_form(pencil, decomp), G = (x S - T)^{-1} gives the right factor
     # G S = (I + G T) / x, whose exact I keeps large x and index-3 products accurate.  As T G S = S G T, K = omega S - T
     # has K G S = S G K, so the left product is K R K^{-1} for the right one R.  Lanczos takes the norms of R^n B and
-    # K R^n K^{-1} L: on the finite block, those of the pencil's products, as the infinite block's vanish and
-    # P = [[I, Y], [0, I]] has P blkdiag(R^n, 0) P^{-1} = [[R^n, -R^n Y], [0, 0]]; on the whole form B = L = I.
+    # K R^n K^{-1} L: on the finite block, those of the pencil's products, as the infinite block's vanish.  A right
+    # product F of the reordered form is then F P, and P's range is Z1's, so F = Z [[R^n Z1^H P], [0]] has the norm of
+    # R^n B; the left one, by Q1 and R, that of K R^n K^{-1} L.  On the whole form B = L = I.
     def times(F, V):  # F V, with None for I
         return V if F is None else F @ V
 
@@ -253,8 +251,7 @@ def verify_radiality(
     p: int,
     omega: float,
     box_radius: float,
-    d1: int,
-    nilpotency: int,
+    decomp,
     n_max: int = 3,
     num_samples: int = 500,
     seed: int = 0,
@@ -264,19 +261,17 @@ def verify_radiality(
     Draws shift tuples from (omega, omega + box_radius) and powers up to n_max, records the largest
     weighted product norm, then repeats at ten times the box radius.  A ratio growth beyond
     DIVERGENCE_FACTOR falsifies the bound; otherwise it is supported with empirical constant C.
-    "supported" is evidence, not proof.  d1, the number of finite eigenvalues, and nilpotency, the index k, come from
-    the caller's decomposition (the CLI passes decompose's).  Where p + 1 >= k, so that every product of p + 1 factors
-    on the infinite block is a multiple of N^(p + 1) = 0, and a real Schur form splits by one well-conditioned
-    Sylvester similarity into the blocks of those d1 finite and of the infinite eigenvalues, the finite block alone is
-    sampled, and the verdict is about decompose's Weierstrass structure.  Else the whole form is, which has an index-k
-    block's infinite eigenvalues at |s|/(|s| + |t|) ~ eps^(1/k), not 0: at index 3 and p = 2 a complex form can read
-    "falsified" where the Weierstrass structure supports it (ROADMAP.md: radiality on decompose's structure).
-    sampled_dimension is the sampled block's size.  The left products come by similarity with omega S - T on that
-    block, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet."""
-    _require_above(p=(-1, p, Integral), d1=(-1, d1, Integral), nilpotency=(-1, nilpotency, Integral),
-                   n_max=(0, n_max, Integral), num_samples=(0, num_samples, Integral), seed=(-1, seed, Integral),
-                   omega=(-np.inf, omega), box_radius=(0.0, box_radius))
-    rng, form = np.random.default_rng(seed), _radiality_form(pencil, d1 if p + 1 >= nilpotency else 0)
+    "supported" is evidence, not proof.  decomp is the caller's Weierstrass decomposition (the CLI passes decompose's),
+    of which d1, nilpotency_index k and the projectors P and R are read.  Where p + 1 >= k, so that every product of
+    p + 1 factors on the infinite block is a multiple of N^(p + 1) = 0, the finite block of the Schur form alone is
+    sampled, with outer factors from P and R, and the verdict is about decomp's structure; C then carries the accuracy
+    of P and R.  Else the whole form is, which has an index-k block's infinite eigenvalues at |s|/(|s| + |t|) ~
+    eps^(1/k), not 0.  sampled_dimension is the sampled block's size.  The left products come by similarity with
+    omega S - T on that block, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet."""
+    _require_above(p=(-1, p, Integral), n_max=(0, n_max, Integral), num_samples=(0, num_samples, Integral),
+                   seed=(-1, seed, Integral), omega=(-np.inf, omega), box_radius=(0.0, box_radius))
+    rng = np.random.default_rng(seed)
+    form = _radiality_form(pencil, decomp if p + 1 >= decomp.nilpotency_index else None)
     (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = (  # the box, then ten times it
         _max_radiality_ratio(*form, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
     return RadialityEvidence(

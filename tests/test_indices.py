@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from daepencil.cli import main
 from daepencil.core import _golub_kahan
 from daepencil.errors import OverflowRisk, ShiftOutsideResolventSet
 from daepencil.indices import _max_radiality_ratio, _radiality_form
+from daepencil.phdae import _default_omega
 
 N2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -75,7 +77,8 @@ class TestComplexIndex:
 
 class TestRadiality:
     def test_scalar_contraction_supported(self):
-        ev = verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), 0, omega=1e-6, box_radius=10.0, d1=1, nilpotency=0)
+        pencil = MatrixPencil(np.eye(1), [[-1.0]])
+        ev = verify_radiality(pencil, 0, omega=1e-6, box_radius=10.0, decomp=decompose(pencil))
         assert ev.verdict == "supported"
         assert ev.C == pytest.approx(1.0, abs=0.1)
 
@@ -84,8 +87,9 @@ class TestRadiality:
         # the sampling box must extend past the saturation scale of the
         # empirical constant, otherwise genuine growth of the ratio is still
         # visible for the supported order
-        lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, d1=3, nilpotency=2, num_samples=200)
-        hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, nilpotency=2, num_samples=200)
+        decomp = decompose(model.pencil)
+        lo = verify_radiality(model.pencil, 0, omega=0.5, box_radius=100.0, decomp=decomp, num_samples=200)
+        hi = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, decomp=decomp, num_samples=200)
         assert lo.verdict == "falsified"
         assert hi.verdict == "supported"
 
@@ -96,13 +100,14 @@ class TestRadiality:
         A1 = 0.5 * (W - W.T) - np.eye(3)
         E = scipy.linalg.block_diag(np.eye(3), np.triu(np.ones((2, 2)), 1))
         A = scipy.linalg.block_diag(A1, np.eye(2))
-        ev = verify_radiality(MatrixPencil(E, A), 1, omega=0.5, box_radius=100.0, d1=3, nilpotency=2, num_samples=200)
+        pencil = MatrixPencil(E, A)
+        ev = verify_radiality(pencil, 1, omega=0.5, box_radius=100.0, decomp=decompose(pencil), num_samples=200)
         assert ev.verdict == "supported"
 
     def test_deterministic_given_seed(self):
         p = MatrixPencil(np.eye(1), [[-1.0]])
-        a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, nilpotency=0, num_samples=50, seed=3)
-        b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, d1=1, nilpotency=0, num_samples=50, seed=3)
+        a = verify_radiality(p, 0, omega=0.5, box_radius=5.0, decomp=decompose(p), num_samples=50, seed=3)
+        b = verify_radiality(p, 0, omega=0.5, box_radius=5.0, decomp=decompose(p), num_samples=50, seed=3)
         assert a.C == b.C
 
     def test_one_real_qz_for_both_boxes(self, monkeypatch):
@@ -112,9 +117,10 @@ class TestRadiality:
             calls.append(kwargs["output"])
             return qz(*args, **kwargs)
 
-        monkeypatch.setattr(core.scipy.linalg, "qz", counted)
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        verify_radiality(pencil, 1, omega=1.0, box_radius=10.0, d1=12, nilpotency=2, num_samples=5)
+        decomp = decompose(pencil)
+        monkeypatch.setattr(core.scipy.linalg, "qz", counted)
+        verify_radiality(pencil, 1, omega=1.0, box_radius=10.0, decomp=decomp, num_samples=5)
         assert calls == ["real"]
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -122,14 +128,21 @@ class TestRadiality:
     def test_irregular_pencil_typed_error(self, E):
         # every shift is singular: a zero LU pivot, never an untyped LinAlgError or a NaN
         with pytest.raises(ShiftOutsideResolventSet, match="zero LU pivot"):
-            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0, d1=0, nilpotency=1)
+            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0,
+                             decomp=_whole_form_structure(1))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_product_typed_error(self):
         # x*E overflows for this E: the products are not finite and must not reach the norms
         pencil = MatrixPencil([[0.0, 1e308], [0.0, 0.0]], np.eye(2))
         with pytest.raises(ShiftOutsideResolventSet, match="not finite"):
-            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0, d1=0, nilpotency=2)
+            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0, decomp=_whole_form_structure(2))
+
+
+def _whole_form_structure(nilpotency):
+    """A stand-in for the decomposition of a pencil that decompose refuses, with d1 = 0: verify_radiality samples the
+    whole Schur form and reads no projector."""
+    return SimpleNamespace(d1=0, nilpotency_index=nilpotency)
 
 
 def _dense_radiality_ratio(pencil, p, omega, box_radius, n_max, num_samples, rng):
@@ -181,9 +194,16 @@ def _sampled_ratio(form, *args, seed=7):
     return _max_radiality_ratio(*form, *args, np.random.default_rng(seed))
 
 
+def _form(pencil, d1):
+    """_radiality_form at decompose's split, which has d1 finite eigenvalues, or of the whole form at d1 = 0."""
+    decomp = decompose(pencil) if d1 else None
+    assert decomp is None or decomp.d1 == d1
+    return _radiality_form(pencil, decomp)
+
+
 def _one_block_form(pencil):
-    """The pencil's whole Schur form, unreordered: the form at d1 = 0."""
-    return _radiality_form(pencil, 0)
+    """The pencil's whole Schur form, unreordered: the form with no decomposition."""
+    return _radiality_form(pencil, None)
 
 
 class TestRadialityRatio:
@@ -204,7 +224,7 @@ class TestRadialityRatio:
     @pytest.mark.parametrize("box_radius", [10.0, 1e3])
     def test_matches_dense_reference(self, pencil, d1, p, rel, box_radius):
         args = (p, 0.5, box_radius, 3, 40)
-        fast, steps, fallbacks = _sampled_ratio(_radiality_form(pencil, d1), *args)
+        fast, steps, fallbacks = _sampled_ratio(_form(pencil, d1), *args)
         ref = _dense_radiality_ratio(pencil, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
         assert fallbacks == 0 and 1 <= steps <= min(pencil.n, 30)
@@ -214,15 +234,16 @@ class TestRadialityRatio:
         # three Lanczos runs, the last one on the products of 2 samples
         pencil = build_l2_example(L2ExampleParams(K=40))
         args = (1, 0.5, 1e3, 3, 150)
-        fast, _, fallbacks = _sampled_ratio(_radiality_form(pencil, 80), *args)
+        fast, _, fallbacks = _sampled_ratio(_form(pencil, 80), *args)
         assert fallbacks == 0
         assert fast == pytest.approx(_dense_radiality_ratio(pencil, *args, np.random.default_rng(7)), rel=1e-12)
 
     def test_step_cap_falls_back_to_svd(self, monkeypatch):
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        lanczos = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, nilpotency=2, num_samples=10)
+        decomp = decompose(pencil)
+        lanczos = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, decomp=decomp, num_samples=10)
         monkeypatch.setattr(core, "LANCZOS_STEPS", 2)
-        capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=12, nilpotency=2, num_samples=10)
+        capped = verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, decomp=decomp, num_samples=10)
         assert (lanczos.lanczos_steps, lanczos.svd_fallbacks, lanczos.sampled_dimension) == (7, 0, 12)
         assert (capped.lanczos_steps, capped.svd_fallbacks) == (2, 40)  # 2 products, 10 samples, 2 boxes
         assert capped.C == pytest.approx(lanczos.C, rel=1e-13)
@@ -232,12 +253,12 @@ class TestRadialityRatio:
     @pytest.mark.parametrize("box_radius, rel", [(10.0, 1e-10), (1e3, 1e-8)])
     def test_complex_pencil_matches_block_reference(self, d2, box_radius, rel):
         # at box 1e3 the index-3 block's factors grow like lambda^2 while their products vanish:
-        # dense solves of lambda*E - A (the dense reference) then err by orders of magnitude, the
-        # QZ form by 7e-10 here, and the block reference agrees with a 50-digit evaluation to 6e-15
+        # dense solves of lambda*E - A (the dense reference) then err by orders of magnitude, the QZ form's
+        # finite block by 9.2e-14 here, and the block reference agrees with a 50-digit evaluation to 6e-15
         blocks = random_weierstrass_blocks(np.random.default_rng(1), 4, d2)
         pencil = random_regular_pencil(np.random.default_rng(1), 4, d2)
         args = (d2 - 1, 0.5, box_radius, 3, 40)
-        fast = _sampled_ratio(_radiality_form(pencil, 4), *args)[0]
+        fast = _sampled_ratio(_form(pencil, 4), *args)[0]
         ref = _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
         assert fast == pytest.approx(ref, rel=rel)
 
@@ -256,7 +277,7 @@ class TestRadialityRatio:
             funcs = scipy.linalg.get_lapack_funcs(names, arrays)
             return [lambda M, *a, f=f, **k: seen.append(M.dtype) or f(M, *a, **k) for f in funcs]
 
-        form = _radiality_form(pencil, d1)  # before recording: dtgsen's first argument is an int32 selection
+        form = _form(pencil, d1)  # before recording: dtgsen's first argument is an int32 selection
         monkeypatch.setattr(indices, "get_lapack_funcs", recording_get_lapack_funcs)
         _sampled_ratio(form, 1, 0.5, 10.0, 3, 5)
         assert seen and set(seen) == {np.dtype(dtype)}
@@ -276,7 +297,7 @@ class TestRadialityRatio:
             raise AssertionError("radiality sampling must not call this")
 
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        form = _radiality_form(pencil, 12)  # finite eigenvalues in a 12 x 12 block, infinite ones in an 8 x 8 block
+        form = _form(pencil, 12)  # finite eigenvalues in a 12 x 12 block, infinite ones in an 8 x 8 block
         monkeypatch.setattr(indices, "get_lapack_funcs", counting_get_lapack_funcs)
         for module, name in [(scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve"), (scipy.linalg, "svd"),
                              (scipy.linalg, "svdvals"), (np.linalg, "svd"), (np.linalg, "inv"),
@@ -288,20 +309,21 @@ class TestRadialityRatio:
         assert not any(hasattr(indices, name) for name in ("lu_factor", "lu_solve", "eigh"))
 
     @pytest.mark.parametrize(
-        "pencil, d1, nilpotency, p, box_radius",
+        "pencil, p, box_radius",
         [
-            (build_nanorod(NanorodParams(n_grid=10)).pencil, 30, 2, 1, 1e3),
-            (build_l2_example(L2ExampleParams(K=40)), 80, 2, 1, 8e3),
-            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 3, 3, 2, 1e3),
-            (random_regular_pencil(np.random.default_rng(0), 20, 2), 20, 2, 1, 1e3),
+            (build_nanorod(NanorodParams(n_grid=10)).pencil, 1, 1e3),
+            (build_l2_example(L2ExampleParams(K=40)), 1, 8e3),
+            (random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 2, 1e3),
+            (random_regular_pencil(np.random.default_rng(0), 20, 2), 1, 1e3),
         ],
         ids=["nanorod-10", "l2-40", "random-index-3", "complex-d1-20"],
     )
-    def test_ratios_equal_lu_getri_reference(self, monkeypatch, pencil, d1, nilpotency, p, box_radius):
+    def test_ratios_equal_lu_getri_reference(self, monkeypatch, pencil, p, box_radius):
         # the elimination step pivots and scales as getrf does, and trtri is getri's own first step;
         # U can differ in a last bit where getrf fuses a multiply-add, yet on these pencils every
         # ratio equals, bit for bit, the one from an LU and getri of x S - T at each shift
-        fast = verify_radiality(pencil, p, 0.5, box_radius, d1, nilpotency, num_samples=60)
+        decomp = decompose(pencil)
+        fast = verify_radiality(pencil, p, 0.5, box_radius, decomp, num_samples=60)
 
         def lu_getri_inverse(S, T, ks, x, trtri):
             getri = scipy.linalg.get_lapack_funcs("getri", (S,))
@@ -310,7 +332,7 @@ class TestRadialityRatio:
             return X
 
         monkeypatch.setattr(indices, "_shift_inverse", lu_getri_inverse)
-        ref = verify_radiality(pencil, p, 0.5, box_radius, d1, nilpotency, num_samples=60)
+        ref = verify_radiality(pencil, p, 0.5, box_radius, decomp, num_samples=60)
         assert (fast.C, fast.max_ratio_wide) == (ref.C, ref.max_ratio_wide)
 
     def test_shift_inverse_of_every_block_pivot(self):
@@ -339,7 +361,7 @@ class TestRadialityRatio:
     def test_left_products_by_similarity(self, pencil, d1, p, box_radius):
         # K (x S - T)^{-1} S = S (x S - T)^{-1} K for K = omega S - T, so L^n = K R^n K^{-1}: it matches the
         # left product formed explicitly from the factors (I + T X) / x, X = (x S - T)^{-1}
-        S, T = _radiality_form(pencil, d1)[:2]
+        S, T = _form(pencil, d1)[:2]
         (trtri,), ks = scipy.linalg.get_lapack_funcs(("trtri",), (S,)), np.flatnonzero(np.diagonal(T, -1))
         omega, rng, identity = 0.5, np.random.default_rng(7), np.eye(len(S))
         K, K_inv = omega * S - T, indices._shift_inverse(S, T, ks, omega, trtri)
@@ -362,16 +384,17 @@ class TestRadialityRatio:
         G, H = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
         pencil = MatrixPencil(scale * G @ H, scale * G @ np.diag([0.5, -1.0, -2.0, -3.0]) @ H)
         with pytest.raises(ShiftOutsideResolventSet, match=r"omega = 0\.5 .* 1-norm condition \d\.\d+e\+1[5-7], "):
-            verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, d1=4, nilpotency=0, num_samples=10)
+            verify_radiality(pencil, 1, omega=0.5, box_radius=10.0, decomp=decompose(pencil), num_samples=10)
 
     @pytest.mark.parametrize(
         "pencil, d1, p, box_radius, rel",
         [
             pytest.param(build_nanorod(NanorodParams(n_grid=4)).pencil, 12, 1, 1e3, 1e-13, id="1000.0"),
             pytest.param(build_nanorod(NanorodParams(n_grid=4)).pencil, 12, 1, 1e4, 1e-13, id="10000.0"),
-            # the tolerance of test_complex_pencil_matches_block_reference at box 10; at box 1e3 this pencil
-            # reads 3.40117 against 3.43800 in 50 digits, and so do explicitly formed left products: the QZ
-            # form's backward error moves its index-3 products by about 1 %, so 1e-8 cannot hold there
+            # the tolerance of test_complex_pencil_matches_block_reference at box 10; at box 1e3 the finite block
+            # reads 3.43248, the exact block structure's value, against the stored pencil's 3.43800 in 50 digits
+            # (the whole form 3.40117): rounding of the stored pencil moves its index-3 products, so 1e-8 cannot
+            # hold there
             pytest.param(random_regular_pencil(np.random.default_rng(1), 3, 3, stable=True), 3, 2, 10.0, 1e-10,
                          id="random-index-3-10.0"),
         ],
@@ -379,7 +402,7 @@ class TestRadialityRatio:
     def test_nanorod_matches_50_digit_reference(self, pencil, d1, p, box_radius, rel):
         mpmath = pytest.importorskip("mpmath")
         args = (p, 1.0, box_radius, 3, 12)
-        fast = _sampled_ratio(_radiality_form(pencil, d1), *args, seed=0)[0]
+        fast = _sampled_ratio(_form(pencil, d1), *args, seed=0)[0]
         ref = _mp_radiality_ratio(mpmath, pencil, *args, np.random.default_rng(0))
         assert fast == pytest.approx(ref, rel=rel)
 
@@ -426,6 +449,16 @@ def _real_weierstrass_pencil(seed, d1, nilpotency, chains, cond_max=10.0):
     return MatrixPencil(E, A), (A1, N, G, H)
 
 
+def _weierstrass_oracle(blocks):
+    """The exact structure of the pencil G (blkdiag(I, N), blkdiag(A1, I)) H of ``blocks`` (A1, N, G, H), as
+    verify_radiality reads a decomposition: d1, nilpotency_index and the projectors P = H^{-1} J H and R = G J G^{-1},
+    J = blkdiag(I, 0).  It stands in for decompose, which may refuse or misjudge such a pencil."""
+    A1, N, G, H = blocks
+    J = scipy.linalg.block_diag(np.eye(len(A1)), np.zeros_like(N))
+    k = next(j for j in itertools.count(1) if not np.linalg.matrix_power(N, j).any())
+    return SimpleNamespace(d1=len(A1), nilpotency_index=k, P=np.linalg.solve(H, J @ H), R=G @ J @ np.linalg.inv(G))
+
+
 class TestRadialitySplit:
     @pytest.mark.parametrize("n_grid", [4, 10])
     def test_nanorod_splits_off_its_infinite_eigenvalues(self, n_grid):
@@ -433,10 +466,10 @@ class TestRadialitySplit:
         # at p = 1, where their products vanish, both boxes match the whole-form ratio on the unreordered real QZ form
         pencil = build_nanorod(NanorodParams(n_grid=n_grid)).pencil
         d1 = 3 * n_grid
-        S, T, B, L, _ = form = _radiality_form(pencil, d1)
+        S, T, B, L, _ = form = _form(pencil, d1)
         assert S.shape == T.shape == B.shape == L.shape == (d1, d1)
         assert not np.triu(B, 1).any() and not np.triu(L, 1).any()
-        assert np.linalg.norm(B, 2) * np.linalg.norm(L, 2) <= indices.SPLIT_CONDITION_MAX
+        assert min(np.linalg.svd(F, compute_uv=False).min() for F in (B, L)) >= 1.0 - 1e-12  # B B^T, L L^T >= I
         (Sc, Tc), finite = pencil.qz[:2], pencil.finite(d1)  # the block holds the d1 finite eigenvalues
         ref = np.diag(Tc)[finite] / np.diag(Sc)[finite]
         assert np.abs(scipy.linalg.eigvals(T, S)[:, None] - ref).min(axis=1).max() <= 1e-10 * np.abs(ref).max()
@@ -447,43 +480,62 @@ class TestRadialitySplit:
             assert fallbacks == 0
 
     @pytest.mark.parametrize(
-        "pencil, d1",
-        [(build_l2_example(L2ExampleParams(K=40)), 80), (random_regular_pencil(np.random.default_rng(0), 20, 2), 20)],
+        "pencil",
+        [build_l2_example(L2ExampleParams(K=40)), random_regular_pencil(np.random.default_rng(0), 20, 2)],
         ids=["l2-40", "complex-d1-20"],
     )
-    def test_one_block_where_there_is_no_split(self, pencil, d1):
-        # l2 splits off 4 of its 84 eigenvalues at (1 + ||X||)(1 + ||Y||) = 1.2e5, which SPLIT_CONDITION_MAX refuses;
-        # a complex form is never split: both sample the pencil's Schur form itself, with no outer factors
-        S, T, B, L, _ = _radiality_form(pencil, d1)
+    def test_one_block_where_there_is_no_split(self, pencil):
+        # at p = 0 < k - 1 the infinite block's products do not vanish: the pencil's Schur form itself is sampled,
+        # with no outer factors
+        S, T, B, L, _ = _one_block_form(pencil)
         assert B is None and L is None
         assert S is pencil.schur[0] and T is pencil.schur[1]
+        ev = verify_radiality(pencil, 0, 0.5, 10.0, decompose(pencil), num_samples=5)
+        assert ev.sampled_dimension == pencil.n
 
-    def test_guard_decides_l2(self, monkeypatch):
-        # with the limit raised past l2's 1.2e5 the split is taken, and the ratio still matches the whole-form one
+    def test_l2_samples_its_finite_block(self):
+        # at the CLI defaults, p = 1 = k - 1: the 80 x 80 finite block, with outer factors from decompose's
+        # projectors, reads the whole form's C and verdict
         pencil = build_l2_example(L2ExampleParams(K=40))
-        monkeypatch.setattr(indices, "SPLIT_CONDITION_MAX", 1e6)
-        form = _radiality_form(pencil, 80)
-        assert form[0].shape == form[2].shape == (80, 80)
-        args = (1, 0.5, 1e3, 3, 40)
-        assert _sampled_ratio(form, *args)[0] == pytest.approx(_sampled_ratio(_one_block_form(pencil), *args)[0], rel=1e-12)
+        decomp = decompose(pencil)
+        args = (1, _default_omega(pencil, decomp.d1), 1e3)
+        split = verify_radiality(pencil, *args, decomp, num_samples=200)
+        whole = verify_radiality(pencil, *args, _whole_form_structure(2), num_samples=200)
+        assert (split.sampled_dimension, whole.sampled_dimension) == (80, 84)
+        assert split.C == pytest.approx(whole.C, rel=1e-12)
+        assert split.verdict == whole.verdict
+
+    @pytest.mark.parametrize(
+        "pencil",
+        [build_nanorod(NanorodParams(n_grid=4)).pencil, random_regular_pencil(np.random.default_rng(1), 3, 3)],
+        ids=["real", "complex"],
+    )
+    def test_reorder_leaves_the_schur_form_unmodified(self, pencil):
+        schur = pencil.schur
+        before = [M.copy() for M in schur]
+        assert len(_radiality_form(pencil, decompose(pencil))[0]) < pencil.n
+        assert pencil.schur is schur
+        assert all(np.array_equal(M, M0) for M, M0 in zip(schur, before))
 
     @settings(max_examples=12)
     @given(d1=st.integers(2, 40), nilpotency=st.integers(1, 3), chains=st.integers(1, 2), seed=st.integers(0, 2**16))
     @example(d1=23, nilpotency=2, chains=1, seed=89)  # split into 23 + 2
     @example(d1=10, nilpotency=2, chains=2, seed=0)  # split into 10 + 4, see test_split_at_the_construction_d1
     @example(d1=3, nilpotency=3, chains=1, seed=0)  # index 3, where the whole form reads C = 5.89 against 2.46
-    def test_split_matches_block_reference_or_is_refused(self, d1, nilpotency, chains, seed):
+    def test_split_matches_block_reference(self, d1, nilpotency, chains, seed):
         # at p = k - 1 the finite block alone carries the products of the exact Weierstrass structure
         pencil, blocks = _real_weierstrass_pencil(seed, d1, nilpotency, chains)
-        form = _radiality_form(pencil, d1)
+        form = _radiality_form(pencil, _weierstrass_oracle(blocks))
         args = (max(nilpotency - 1, 0), 1.0, 1e3, 3, 10)
         split, ref = _sampled_ratio(form, *args)[0], _block_radiality_ratio(blocks, *args, np.random.default_rng(7))
-        assert form[2] is None or split == pytest.approx(ref, rel=1e-10)
+        assert len(form[0]) == d1
+        assert split == pytest.approx(ref, rel=1e-10)
 
     def test_split_at_the_construction_d1(self):
         # 10 finite eigenvalues and two index-2 chains: the largest gap of log |s|/(|s| + |t|) lies among the 4
         # infinite ones, and a cut there kept one 14 x 14 block; the split at the caller's d1 = 10 is taken
-        S, T, B, L, _ = _radiality_form(_real_weierstrass_pencil(0, 10, 2, 2)[0], 10)
+        pencil, blocks = _real_weierstrass_pencil(0, 10, 2, 2)
+        S, T, B, L, _ = _radiality_form(pencil, _weierstrass_oracle(blocks))
         assert S.shape == T.shape == B.shape == L.shape == (10, 10)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -491,7 +543,19 @@ class TestRadialitySplit:
         # p = 2 = k - 1 on real index-3 pencils: the whole form read its infinite block's rounding as growth, 5 of
         # these 12 "falsified" with C up to 10x off; the finite block gives the exact structure's verdict and C
         pencil, blocks = _real_weierstrass_pencil(seed, 3, 3, 1)
-        ev = verify_radiality(pencil, 2, 1.0, 1e3, 3, 3, num_samples=200, seed=0)
+        ev = verify_radiality(pencil, 2, 1.0, 1e3, _weierstrass_oracle(blocks), num_samples=200, seed=0)
+        rng = np.random.default_rng(0)
+        ref, ref_wide = (_block_radiality_ratio(blocks, 2, 1.0, r, 3, 200, rng) for r in (1e3, 1e4))
+        assert ev.sampled_dimension == 3
+        assert ev.verdict == ("falsified" if ref_wide > indices.DIVERGENCE_FACTOR * ref else "supported")
+        assert ev.C == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_complex_index_3_verdicts_of_the_block_reference(self, seed):
+        # the same on complex index-3 pencils, through decompose: the whole form read 8 of these 12 "falsified"
+        blocks = random_weierstrass_blocks(np.random.default_rng(seed), 3, 3, stable=True)
+        pencil = random_regular_pencil(np.random.default_rng(seed), 3, 3, stable=True)
+        ev = verify_radiality(pencil, 2, 1.0, 1e3, decompose(pencil), num_samples=200, seed=0)
         rng = np.random.default_rng(0)
         ref, ref_wide = (_block_radiality_ratio(blocks, 2, 1.0, r, 3, 200, rng) for r in (1e3, 1e4))
         assert ev.sampled_dimension == 3
@@ -618,16 +682,13 @@ class TestArgumentValidation:
             ({"num_samples": 10.5}, "num_samples"),
             ({"seed": 1.5}, "seed"),
             ({"seed": -1}, "seed"),
-            ({"d1": 1.5}, "d1"),
-            ({"d1": -1}, "d1"),
-            ({"nilpotency": 1.5}, "nilpotency"),
-            ({"nilpotency": -1}, "nilpotency"),
         ],
     )
     def test_radiality_nonfinite_rejected(self, kwargs, name):
-        args = {"p": 0, "omega": 0.5, "box_radius": 10.0, "d1": 1, "nilpotency": 0} | kwargs
+        pencil = MatrixPencil(np.eye(1), [[-1.0]])
+        args = {"p": 0, "omega": 0.5, "box_radius": 10.0, "decomp": decompose(pencil)} | kwargs
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            verify_radiality(MatrixPencil(np.eye(1), [[-1.0]]), **args)
+            verify_radiality(pencil, **args)
 
     @pytest.mark.parametrize("estimate", [estimate_resolvent_index_real, estimate_resolvent_index_complex])
     @pytest.mark.parametrize(
@@ -666,7 +727,7 @@ class TestIndexRelations:
         p = MatrixPencil(np.eye(1), [[-1.0]])
         d = decompose(p)
         est = estimate_resolvent_index_real(p, 0.1, 1e3)
-        rad = verify_radiality(p, 0, omega=0.5, box_radius=10.0, d1=1, nilpotency=d.nilpotency_index, num_samples=100)
+        rad = verify_radiality(p, 0, omega=0.5, box_radius=10.0, decomp=d, num_samples=100)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 0 and rep["p_res"] == 0 and rep["p_rad"] == 0
         assert not rep["chain_holds"]  # 0+1 != 0 in the index-0 ODE case
@@ -677,8 +738,7 @@ class TestIndexRelations:
         model = build_zero_dynamics(np.diag([-1.0, -2.0, -3.0, -4.0]), np.eye(4)[:, 0], np.eye(4)[:, 0])
         d = decompose(model.pencil)
         est = estimate_resolvent_index_real(model.pencil, 0.5, 1e3)
-        rad = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, d1=3, nilpotency=d.nilpotency_index,
-                               num_samples=200)
+        rad = verify_radiality(model.pencil, 1, omega=0.5, box_radius=100.0, decomp=d, num_samples=200)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 2 and rep["p_res"] == 2 and rep["p_rad"] == 1
         assert rep["chain_holds"]
@@ -687,10 +747,22 @@ class TestIndexRelations:
         p = MatrixPencil(N2, np.eye(2))
         d = decompose(p)
         est = estimate_resolvent_index_real(p, 0.1, 1e3)
-        rad = verify_radiality(p, 1, omega=0.5, box_radius=100.0, d1=0, nilpotency=d.nilpotency_index, num_samples=100)
+        rad = verify_radiality(p, 1, omega=0.5, box_radius=100.0, decomp=d, num_samples=100)
         rep = index_relations_check(d, est, rad)
         assert rep["p_nilp"] == 2
         assert rep["res_eq_nilp"]
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chain_holds_on_stable_complex_pencils(self, seed, k):
+        # at the CLI defaults: omega from _default_omega, p = k - 1, a box of 1e3 and 200 samples
+        pencil = random_regular_pencil(np.random.default_rng([k, seed]), 2 + seed % 10, k, stable=True)
+        d = decompose(pencil)
+        omega = _default_omega(pencil, d.d1)
+        est = estimate_resolvent_index_real(pencil, omega, 1e3 * omega)
+        rad = verify_radiality(pencil, k - 1, omega, 1e3, d, num_samples=200)
+        assert index_relations_check(d, est, rad)["chain_holds"]
 
 
 class TestEstimateInvariance:
