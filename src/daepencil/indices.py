@@ -3,11 +3,11 @@
 The real (complex) resolvent index is the smallest integer p such that
 ``||(lambda E - A)^{-1}|| <= C |lambda|^{p-1}`` on a real ray (right
 half-plane).  We estimate it by fitting the log-log growth of sampled
-resolvent norms; the radiality bound is probed by sampling right pseudo-resolvent products at real shifts, one
-explicit inverse per shift on one block of the pencil's Schur form, MatrixPencil.schur: where the infinite block's
-products vanish, the finite block of the form reordered at the d1 of the caller's decomposition, with outer factors
-from that decomposition's projectors, else the whole form.  The left products follow by similarity with
-omega S - T, and the norms of both by Golub-Kahan-Lanczos on a stack of products in lockstep.
+resolvent norms; the radiality bound is decided by the nilpotency index k of the caller's Weierstrass decomposition
+where p + 1 < k, and else probed by sampling right pseudo-resolvent products at real shifts, one explicit inverse per
+shift on the finite block of the pencil's Schur form, MatrixPencil.schur, reordered at the decomposition's d1, with
+outer factors from its projectors.  The left products follow by similarity with omega S - T, and the norms of both by
+Golub-Kahan-Lanczos on a stack of products in lockstep.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
 
 from .core import MatrixPencil, _golub_kahan, as_complex_matrix, resolvent_norms, spectral_norm
-from .errors import OverflowRisk, ShiftOutsideResolventSet
+from .errors import IllConditionedTransform, OverflowRisk, ShiftOutsideResolventSet
 
 __all__ = [
     "GrowthEstimate",
@@ -62,10 +62,10 @@ class RadialityEvidence:
     omega: float
     n_max: int
     num_samples: int
-    C: float  # the empirical radiality constant: the largest weighted product norm in the box
+    C: float  # the empirical radiality constant, the largest weighted product norm in the box; inf where p + 1 < k
     max_ratio_wide: float
     verdict: str  # "supported" | "falsified"
-    sampled_dimension: int  # d1 where the finite Weierstrass block was sampled alone, n where the whole Schur form was
+    sampled_dimension: int  # d1, the finite Weierstrass block's size, or 0 where nothing was sampled
     lanczos_steps: int  # most steps any product took, over both boxes
     svd_fallbacks: int
 
@@ -153,22 +153,20 @@ def estimate_resolvent_index_complex(
 
 
 def _radiality_form(pencil: MatrixPencil, decomp) -> tuple:
-    """(S, T, B, L, chunk): the block to sample, its outer factors and the samples per Lanczos run, about 4 MB of the
-    whole form's products.  tgsen reorders MatrixPencil.schur with the d1 eigenvalues of MatrixPencil.finite first
-    and accumulates Q and Z, whose first d1 columns Q1 and Z1 span the finite left and right deflating subspaces.  Its
-    finite block (S11, T11) comes with B B^H = Z1^H P P^H Z1 and L L^H = Q1^H R R^H Q1 from the decomposition's
-    projectors P and R, their real parts on a real form; both are >= I.  The whole form, with B = L = None for I,
-    where decomp is None, d1 is 0 or n, or tgsen fails or moves m != d1 eigenvalues."""
-    S, T, Q, Z = pencil.schur
-    d1, chunk = 0 if decomp is None else decomp.d1, max(1, 2**22 // S.nbytes)
-    if 0 < d1 < len(S):
-        (tgsen,) = get_lapack_funcs(("tgsen",), (S, T))
-        T2, S2, *_, Q2, Z2, m, _, _, _, info = tgsen(pencil.finite(d1).astype(np.int32), T, S, Q, Z, ijob=0)
-        if not info and m == d1:
-            P, R = (M if np.iscomplexobj(S) else M.real for M in (decomp.P, decomp.R))
-            B, L = (np.linalg.cholesky(F @ F.conj().T) for F in (Z2[:, :d1].conj().T @ P, Q2[:, :d1].conj().T @ R))
-            return S2[:d1, :d1], T2[:d1, :d1], B, L, chunk
-    return S, T, None, None, chunk
+    """(S11, T11, B, L, chunk): the finite block to sample, its outer factors and the samples per Lanczos run, about
+    4 MB of the whole form's products.  tgsen reorders MatrixPencil.schur with the d1 > 0 eigenvalues of
+    MatrixPencil.finite first and accumulates Q and Z, whose first d1 columns Q1 and Z1 span the finite left and right
+    deflating subspaces; B B^H = Z1^H P P^H Z1 and L L^H = Q1^H R R^H Q1 come from the decomposition's projectors P
+    and R, their real parts on a real form, and both are >= I.  A reorder that fails or moves m != d1 eigenvalues
+    raises IllConditionedTransform."""
+    (S, T, Q, Z), d1 = pencil.schur, decomp.d1
+    (tgsen,) = get_lapack_funcs(("tgsen",), (S, T))
+    T2, S2, *_, Q2, Z2, m, _, _, _, info = tgsen(pencil.finite(d1).astype(np.int32), T, S, Q, Z, ijob=0)
+    if info or m != d1:
+        raise IllConditionedTransform(f"tgsen reordering the Schur form at d1 = {d1}: moved {m}, info {info}")
+    P, R = (M if np.iscomplexobj(S) else M.real for M in (decomp.P, decomp.R))
+    B, L = (np.linalg.cholesky(F @ F.conj().T) for F in (Z2[:, :d1].conj().T @ P, Q2[:, :d1].conj().T @ R))
+    return S2[:d1, :d1], T2[:d1, :d1], B, L, max(1, 2**22 // S.nbytes)
 
 
 def _shift_inverse(S: np.ndarray, T: np.ndarray, ks: np.ndarray, x: float, trtri) -> np.ndarray:
@@ -200,18 +198,15 @@ def _max_radiality_ratio(
     # With (S, T, B, L, chunk) = _radiality_form(pencil, decomp), G = (x S - T)^{-1} gives the right factor
     # G S = (I + G T) / x, whose exact I keeps large x and index-3 products accurate.  As T G S = S G T, K = omega S - T
     # has K G S = S G K, so the left product is K R K^{-1} for the right one R.  Lanczos takes the norms of R^n B and
-    # K R^n K^{-1} L: on the finite block, those of the pencil's products, as the infinite block's vanish.  A right
-    # product F of the reordered form is then F P, and P's range is Z1's, so F = Z [[R^n Z1^H P], [0]] has the norm of
-    # R^n B; the left one, by Q1 and R, that of K R^n K^{-1} L.  On the whole form B = L = I.
-    def times(F, V):  # F V, with None for I
-        return V if F is None else F @ V
-
+    # K R^n K^{-1} L: those of the pencil's products, as verify_radiality samples only where p + 1 >= k, so that the
+    # infinite block's vanish.  A right product F of the reordered form is then F P, and P's range is Z1's, so
+    # F = Z [[R^n Z1^H P], [0]] has the norm of R^n B; the left one, by Q1 and R, that of K R^n K^{-1} L.
     def operators(V, m, adjoint):  # V[:, i] by right operator i < m, V[:, m + i] by left operator i, or by the adjoints
-        (first, last), M = outer[adjoint], stack[:m]
-        V, M = (V.conj(), M.transpose(0, 2, 1)) if adjoint else (V, M)  # the stack is never conjugated
-        both = np.matmul(M, np.stack([times(F, V[:, h]).T for F, h in zip(first, (slice(0, m), slice(m, None)))], 2))
-        out = np.hstack([times(F, both[..., i].T) for i, F in enumerate(last)])  # M[i] B v and K M[i] K^{-1} L v
-        return out.conj() if adjoint else out
+        M, V = (stack[:m].transpose(0, 2, 1), V.conj()) if adjoint else (stack[:m], V)  # the stack is never conjugated
+        first = (V[:, :m], K.T @ V[:, m:]) if adjoint else (B @ V[:, :m], W @ V[:, m:])
+        both = np.matmul(M, np.stack([F.T for F in first], 2))
+        right, left = both[..., 0].T, both[..., 1].T  # M[i] B v and M[i] K^{-1} L v, or M[i]^T v and M[i]^T K^T v
+        return np.hstack((B.T @ right, W.T @ left)).conj() if adjoint else np.hstack((right, K @ left))
     (trtri,), ks = get_lapack_funcs(("trtri",), (S, T)), np.flatnonzero(np.diagonal(T, -1))
     K, K_inv = omega * S - T, _shift_inverse(S, T, ks, omega, trtri)
     norm = float(np.linalg.norm(K, 1))
@@ -219,8 +214,7 @@ def _max_radiality_ratio(
     if not cond < limit:  # core._lu's rule, rcond > 1e-12 max(1, 1/||K||_1), on the exact 1-norm condition
         raise ShiftOutsideResolventSet(f"radiality omega = {omega!r} is outside the resolvent set: omega S - T has "
                                        f"1-norm condition {cond:.3e}, not finite or above {limit:.3e}")
-    W = K_inv if L is None else K_inv @ L
-    outer = {False: ((B, W), (None, K)), True: ((None, K.T), (None if B is None else B.T, W.T))}  # before, after M
+    W = K_inv @ L
     worst, steps, fallbacks = 0.0, 0, 0
     stack, weights = np.empty((chunk, *S.shape), dtype=S.dtype), np.empty(chunk)
     for sample in range(num_samples):
@@ -240,7 +234,7 @@ def _max_radiality_ratio(
                 lambda V: operators(V, m, False), lambda U: operators(U, m, True),
                 np.random.default_rng(0).standard_normal(len(S)).astype(S.dtype), 2 * m)
             for j in np.flatnonzero(~settled):  # an SVD, of the operator formed explicitly
-                sigma[j] = spectral_norm(K @ stack[j - m] @ W if j >= m else stack[j] if B is None else stack[j] @ B)
+                sigma[j] = spectral_norm(K @ stack[j - m] @ W if j >= m else stack[j] @ B)
             worst = max(worst, float(np.max(sigma.reshape(2, -1).max(axis=0) * weights[:m])))
             steps, fallbacks = max(steps, int(most.max())), fallbacks + int(np.count_nonzero(~settled))
     return worst, steps, fallbacks
@@ -262,32 +256,37 @@ def verify_radiality(
     weighted product norm, then repeats at ten times the box radius.  A ratio growth beyond
     DIVERGENCE_FACTOR falsifies the bound; otherwise it is supported with empirical constant C.
     "supported" is evidence, not proof.  decomp is the caller's Weierstrass decomposition (the CLI passes decompose's),
-    of which d1, nilpotency_index k and the projectors P and R are read.  Where p + 1 >= k, so that every product of
-    p + 1 factors on the infinite block is a multiple of N^(p + 1) = 0, the finite block of the Schur form alone is
-    sampled, with outer factors from P and R, and the verdict is about decomp's structure; C then carries the accuracy
-    of P and R.  Else the whole form is, which has an index-k block's infinite eigenvalues at |s|/(|s| + |t|) ~
-    eps^(1/k), not 0.  sampled_dimension is the sampled block's size.  The left products come by similarity with
-    omega S - T on that block, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet."""
+    of which d1, nilpotency_index k and the projectors P and R are read.  In the Weierstrass form a product of p + 1
+    factors on the infinite block is a multiple of N^(p + 1), so k decides two cases without a shift, omega unjudged
+    and sampled_dimension 0: where p + 1 < k that multiple grows without bound in lambda, and the verdict is
+    "falsified" with C = max_ratio_wide = inf; where p + 1 >= k and d1 = 0 every product is 0, and it is "supported"
+    with C = 0.  Else the finite block of the Schur form is sampled, d1 x d1, with outer factors from P and R (see
+    _radiality_form), so C carries the accuracy of P and R.  The left products come by similarity with omega S - T on
+    that block, so an omega at which that fails core._lu's rule raises ShiftOutsideResolventSet."""
     _require_above(p=(-1, p, Integral), n_max=(0, n_max, Integral), num_samples=(0, num_samples, Integral),
                    seed=(-1, seed, Integral), omega=(-np.inf, omega), box_radius=(0.0, box_radius))
-    rng = np.random.default_rng(seed)
-    form = _radiality_form(pencil, decomp if p + 1 >= decomp.nilpotency_index else None)
-    (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = (  # the box, then ten times it
-        _max_radiality_ratio(*form, p, omega, r, n_max, num_samples, rng) for r in (box_radius, 10.0 * box_radius))
+    unbounded = p + 1 < decomp.nilpotency_index
+    sampled_dimension, runs = 0 if unbounded else decomp.d1, [(np.inf if unbounded else 0.0, 0, 0)] * 2
+    if sampled_dimension:
+        form, rng = _radiality_form(pencil, decomp), np.random.default_rng(seed)
+        runs = [_max_radiality_ratio(*form, p, omega, r, n_max, num_samples, rng)
+                for r in (box_radius, 10.0 * box_radius)]
+    (ratio, steps, fallbacks), (ratio_wide, steps_wide, fallbacks_wide) = runs  # the box, then ten times it
     return RadialityEvidence(
         p=p, omega=omega, n_max=n_max, num_samples=num_samples, C=ratio, max_ratio_wide=ratio_wide,
-        verdict="falsified" if ratio_wide > DIVERGENCE_FACTOR * ratio else "supported", sampled_dimension=len(form[0]),
-        lanczos_steps=max(steps, steps_wide), svd_fallbacks=fallbacks + fallbacks_wide,
+        verdict="falsified" if unbounded or ratio_wide > DIVERGENCE_FACTOR * ratio else "supported",
+        sampled_dimension=sampled_dimension, lanczos_steps=max(steps, steps_wide),
+        svd_fallbacks=fallbacks + fallbacks_wide,
     )
 
 
 def index_relations_check(decomp, real_estimate: GrowthEstimate, radiality: RadialityEvidence) -> dict:
     """Report how the nilpotency, resolvent and radiality orders relate.
 
-    Expected chain (when the ODE block generates a C0-semigroup):
-    p_rad + 1 = p_res = p_nilp; also p_nilp <= p_rad + 1 one-sidedly.
-    Mismatches are findings, never errors; the index-0 ODE case violates
-    the chain by construction (p_rad = -1 would be required).
+    Expected chain (when the ODE block generates a C0-semigroup): p_rad + 1 = p_res = p_nilp; also p_nilp <= p_rad + 1
+    one-sidedly, which holds by construction wherever the verdict is "supported", as verify_radiality reads "falsified"
+    where p + 1 < p_nilp.  Mismatches are findings, never errors; the index-0 ODE case violates the chain by
+    construction (p_rad = -1 would be required).
     """
     p_nilp = decomp.nilpotency_index
     p_res = real_estimate.index

@@ -36,7 +36,7 @@ from daepencil import (
 from daepencil import core, indices
 from daepencil.cli import main
 from daepencil.core import _golub_kahan
-from daepencil.errors import OverflowRisk, ShiftOutsideResolventSet
+from daepencil.errors import IllConditionedTransform, OverflowRisk, ShiftOutsideResolventSet
 from daepencil.indices import _max_radiality_ratio, _radiality_form
 from daepencil.phdae import _default_omega
 
@@ -127,22 +127,34 @@ class TestRadiality:
     @pytest.mark.parametrize("E", [np.zeros((2, 2)), np.diag([1.0, 0.0])], ids=["zero", "diag-1-0"])
     def test_irregular_pencil_typed_error(self, E):
         # every shift is singular: a zero LU pivot, never an untyped LinAlgError or a NaN
-        with pytest.raises(ShiftOutsideResolventSet, match="zero LU pivot"):
-            verify_radiality(MatrixPencil(E, np.zeros((2, 2))), 1, omega=0.5, box_radius=10.0,
-                             decomp=_whole_form_structure(1))
+        with pytest.raises(ShiftOutsideResolventSet, match="radiality shift 0.5 has a zero LU pivot"):
+            _sampled_ratio(_whole_form(MatrixPencil(E, np.zeros((2, 2)))), 1, 0.5, 10.0, 3, 500)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_product_typed_error(self):
-        # x*E overflows for this E: the products are not finite and must not reach the norms
+        # x*E overflows for this E at x > 1.8: the inverses are not finite and must not reach the norms; at omega = 0,
+        # K = omega S - T = -I passes the omega rule, so the shifts' own check raises
         pencil = MatrixPencil([[0.0, 1e308], [0.0, 0.0]], np.eye(2))
-        with pytest.raises(ShiftOutsideResolventSet, match="not finite"):
-            verify_radiality(pencil, 0, omega=0.5, box_radius=10.0, decomp=_whole_form_structure(2))
+        with pytest.raises(ShiftOutsideResolventSet, match=r"^inverse at radiality shift \S+ is not finite"):
+            _sampled_ratio(_whole_form(pencil), 0, 0.0, 10.0, 3, 500)
 
 
-def _whole_form_structure(nilpotency):
-    """A stand-in for the decomposition of a pencil that decompose refuses, with d1 = 0: verify_radiality samples the
-    whole Schur form and reads no projector."""
-    return SimpleNamespace(d1=0, nilpotency_index=nilpotency)
+def _whole_form(pencil):
+    """(S, T, I, I, chunk): the pencil's whole Schur form, unreordered, with identity outer factors, in the layout of
+    indices._radiality_form.  indices._max_radiality_ratio on it samples the products of the whole pencil, including
+    the infinite block's rounded eigenvalues: a reference for the finite block, and a way to reach its shift checks on
+    pencils that verify_radiality decides without a shift."""
+    S, T = pencil.schur[:2]
+    identity = np.eye(len(S), dtype=S.dtype)
+    return S, T, identity, identity, max(1, 2**22 // S.nbytes)
+
+
+def _whole_form_ratios(pencil, p, omega, box_radius, num_samples):
+    """(C, max_ratio_wide) of the whole form on verify_radiality's draws at seed 0 and n_max 3: the box, then ten
+    times it, from one generator."""
+    rng = np.random.default_rng(0)
+    return tuple(_max_radiality_ratio(*_whole_form(pencil), p, omega, r, 3, num_samples, rng)[0]
+                 for r in (box_radius, 10.0 * box_radius))
 
 
 def _dense_radiality_ratio(pencil, p, omega, box_radius, n_max, num_samples, rng):
@@ -195,15 +207,12 @@ def _sampled_ratio(form, *args, seed=7):
 
 
 def _form(pencil, d1):
-    """_radiality_form at decompose's split, which has d1 finite eigenvalues, or of the whole form at d1 = 0."""
-    decomp = decompose(pencil) if d1 else None
-    assert decomp is None or decomp.d1 == d1
+    """_radiality_form at decompose's split, which has d1 finite eigenvalues, or _whole_form at d1 = 0."""
+    if not d1:
+        return _whole_form(pencil)
+    decomp = decompose(pencil)
+    assert decomp.d1 == d1
     return _radiality_form(pencil, decomp)
-
-
-def _one_block_form(pencil):
-    """The pencil's whole Schur form, unreordered: the form with no decomposition."""
-    return _radiality_form(pencil, None)
 
 
 class TestRadialityRatio:
@@ -339,7 +348,7 @@ class TestRadialityRatio:
         # a real QZ form with 2x2 blocks whose subdiagonal entry is the pivot at some shifts and not at others:
         # the unreordered one, as dtgsen's reordering of it has no such block
         pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
-        S, T = _one_block_form(pencil)[:2]
+        S, T = _whole_form(pencil)[:2]
         (trtri,), ks = scipy.linalg.get_lapack_funcs(("trtri",), (S,)), np.flatnonzero(np.diagonal(T, -1))
         assert len(ks) and not np.tril(S, -1).any() and not np.tril(T, -2).any()
         swaps = set()
@@ -475,7 +484,7 @@ class TestRadialitySplit:
         assert np.abs(scipy.linalg.eigvals(T, S)[:, None] - ref).min(axis=1).max() <= 1e-10 * np.abs(ref).max()
         for box_radius in (1e3, 1e4):
             split, steps, fallbacks = _sampled_ratio(form, 1, 1.0, box_radius, 3, 40)
-            one_block = _sampled_ratio(_one_block_form(pencil), 1, 1.0, box_radius, 3, 40)[0]
+            one_block = _sampled_ratio(_whole_form(pencil), 1, 1.0, box_radius, 3, 40)[0]
             assert split == pytest.approx(one_block, rel=1e-12)
             assert fallbacks == 0
 
@@ -485,25 +494,25 @@ class TestRadialitySplit:
         ids=["l2-40", "complex-d1-20"],
     )
     def test_one_block_where_there_is_no_split(self, pencil):
-        # at p = 0 < k - 1 the infinite block's products do not vanish: the pencil's Schur form itself is sampled,
-        # with no outer factors
-        S, T, B, L, _ = _one_block_form(pencil)
-        assert B is None and L is None
-        assert S is pencil.schur[0] and T is pencil.schur[1]
-        ev = verify_radiality(pencil, 0, 0.5, 10.0, decompose(pencil), num_samples=5)
-        assert ev.sampled_dimension == pencil.n
+        # at p = 0 < k - 1 the infinite block's products do not vanish: the structure reads "falsified" and nothing is
+        # sampled, and the whole Schur form, sampled at the default box, reads the same
+        ev = verify_radiality(pencil, 0, 0.5, 1e3, decompose(pencil), num_samples=5)
+        assert (ev.verdict, ev.C, ev.max_ratio_wide) == ("falsified", np.inf, np.inf)
+        assert (ev.sampled_dimension, ev.lanczos_steps, ev.svd_fallbacks) == (0, 0, 0)
+        whole, whole_wide = _whole_form_ratios(pencil, 0, 0.5, 1e3, 5)
+        assert whole_wide > indices.DIVERGENCE_FACTOR * whole
 
     def test_l2_samples_its_finite_block(self):
         # at the CLI defaults, p = 1 = k - 1: the 80 x 80 finite block, with outer factors from decompose's
         # projectors, reads the whole form's C and verdict
         pencil = build_l2_example(L2ExampleParams(K=40))
         decomp = decompose(pencil)
-        args = (1, _default_omega(pencil, decomp.d1), 1e3)
-        split = verify_radiality(pencil, *args, decomp, num_samples=200)
-        whole = verify_radiality(pencil, *args, _whole_form_structure(2), num_samples=200)
-        assert (split.sampled_dimension, whole.sampled_dimension) == (80, 84)
-        assert split.C == pytest.approx(whole.C, rel=1e-12)
-        assert split.verdict == whole.verdict
+        omega = _default_omega(pencil, decomp.d1)
+        split = verify_radiality(pencil, 1, omega, 1e3, decomp, num_samples=200)
+        whole, whole_wide = _whole_form_ratios(pencil, 1, omega, 1e3, 200)
+        assert split.sampled_dimension == 80
+        assert split.C == pytest.approx(whole, rel=1e-12)
+        assert split.verdict == ("falsified" if whole_wide > indices.DIVERGENCE_FACTOR * whole else "supported")
 
     @pytest.mark.parametrize(
         "pencil",
@@ -561,6 +570,102 @@ class TestRadialitySplit:
         assert ev.sampled_dimension == 3
         assert ev.verdict == ("falsified" if ref_wide > indices.DIVERGENCE_FACTOR * ref else "supported")
         assert ev.C == pytest.approx(ref, rel=1e-10)
+
+
+class TestRadialityStructure:
+    """Where the nilpotency index k alone decides the radiality verdict, and the finite block's reorder."""
+
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_index_3_below_k_falsified_by_structure(self, monkeypatch, seed, kind, p):
+        # p + 1 < k = 3: a product of p + 1 infinite-block factors is a multiple of N^(p + 1) != 0, unbounded in
+        # lambda, so no product is sampled; the exact block structure grows across the tenfold box as well
+        if kind == "real":
+            pencil, blocks = _real_weierstrass_pencil(seed, 3, 3, 1)
+            decomp = _weierstrass_oracle(blocks)
+        else:
+            blocks = random_weierstrass_blocks(np.random.default_rng(seed), 3, 3, stable=True)
+            pencil = random_regular_pencil(np.random.default_rng(seed), 3, 3, stable=True)
+            decomp = decompose(pencil)
+        assert decomp.nilpotency_index == 3
+        calls = []
+        monkeypatch.setattr(indices, "_max_radiality_ratio", lambda *args: calls.append(args))
+        ev = verify_radiality(pencil, p, 1.0, 1e3, decomp, num_samples=200, seed=0)
+        assert not calls
+        assert (ev.verdict, ev.C, ev.max_ratio_wide) == ("falsified", np.inf, np.inf)
+        assert (ev.sampled_dimension, ev.lanczos_steps, ev.svd_fallbacks) == (0, 0, 0)
+        rng = np.random.default_rng(0)
+        ref, ref_wide = (_block_radiality_ratio(blocks, p, 1.0, r, 3, 200, rng) for r in (1e3, 1e4))
+        assert ref_wide > indices.DIVERGENCE_FACTOR * ref
+
+    def test_no_finite_block_supported_with_c_0(self):
+        # d1 = 0 and p + 1 = k = 2: every product is N^2 = 0, the value the whole Schur form samples
+        pencil = MatrixPencil(N2, np.eye(2))
+        decomp = decompose(pencil)
+        assert (decomp.d1, decomp.nilpotency_index) == (0, 2)
+        ev = verify_radiality(pencil, 1, 0.5, 100.0, decomp, num_samples=100)
+        assert (ev.verdict, ev.C, ev.max_ratio_wide) == ("supported", 0.0, 0.0)
+        assert (ev.sampled_dimension, ev.lanczos_steps, ev.svd_fallbacks) == (0, 0, 0)
+        assert _sampled_ratio(_whole_form(pencil), 1, 0.5, 100.0, 3, 100)[0] == 0.0
+
+    @pytest.mark.parametrize("output, value", [(-1, 1), (-5, 11)], ids=["info", "m"])
+    def test_failed_reorder_refused(self, monkeypatch, output, value):
+        # a tgsen that reports an error, or moves 11 eigenvalues in place of the d1 = 12 finite ones, leaves no finite
+        # block to sample: a typed refusal, not a verdict about another block
+        def failing_get_lapack_funcs(names, arrays):
+            (tgsen,) = scipy.linalg.get_lapack_funcs(names, arrays)
+
+            def failing(*args, **kwargs):
+                out = list(tgsen(*args, **kwargs))
+                out[output] = value
+                return tuple(out)
+
+            return [failing]
+
+        pencil = build_nanorod(NanorodParams(n_grid=4)).pencil
+        decomp = decompose(pencil)
+        monkeypatch.setattr(indices, "get_lapack_funcs", failing_get_lapack_funcs)
+        with pytest.raises(IllConditionedTransform, match="^tgsen reordering the Schur form at d1 = 12: moved "):
+            verify_radiality(pencil, 1, 1.0, 10.0, decomp, num_samples=5)
+
+    def test_complex_pencil_without_infinite_block(self):
+        # d1 = n and k = 0: tgsen moves all n eigenvalues, and B and L are the identity to rounding, as P = R = I;
+        # C is the whole Schur form's, which is the ratio sampled with identity outer factors
+        pencil = random_regular_pencil(np.random.default_rng(0), 4, 0, stable=True)
+        decomp = decompose(pencil)
+        assert (decomp.d1, decomp.nilpotency_index) == (4, 0)
+        ev = verify_radiality(pencil, 0, 1.0, 1e3, decomp, num_samples=200)
+        whole, whole_wide = _whole_form_ratios(pencil, 0, 1.0, 1e3, 200)
+        assert ev.sampled_dimension == 4
+        assert ev.C == pytest.approx(whole, rel=1e-13)
+        assert ev.max_ratio_wide == pytest.approx(whole_wide, rel=1e-13)
+
+    def test_omega_not_judged_below_k(self):
+        # omega = 0.5 is the finite eigenvalue: at p = 0 < k - 1 no shift is formed, so omega is not judged; at p = 1
+        # the finite block is sampled, and omega is refused there
+        pencil = MatrixPencil(scipy.linalg.block_diag(1.0, N2), scipy.linalg.block_diag(0.5, np.eye(2)))
+        decomp = decompose(pencil)
+        assert (decomp.d1, decomp.nilpotency_index) == (1, 2)
+        assert verify_radiality(pencil, 0, 0.5, 10.0, decomp, num_samples=10).verdict == "falsified"
+        with pytest.raises(ShiftOutsideResolventSet, match=r"^radiality (shift |omega = )0\.5 "):
+            verify_radiality(pencil, 1, 0.5, 10.0, decomp, num_samples=10)
+
+    def test_cli_below_k(self, tmp_path, nanorod_file):
+        # indices --radiality-p 0 on nanorod (k = 2): "falsified" with C = inf, which the report writes as JSON's
+        # Infinity; json.load reads it back, and a rerun writes the same bytes
+        paths = [tmp_path / run / "indices.json" for run in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            assert main(["indices", nanorod_file, "--output-dir", str(path.parent), "--radiality-p", "0"]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert b'"C": Infinity' in paths[0].read_bytes()
+        with open(paths[0]) as fh:
+            report = json.load(fh)
+        rad = report["radiality"]
+        assert (rad["p"], rad["verdict"], rad["C"], rad["max_ratio_wide"]) == (0, "falsified", np.inf, np.inf)
+        assert (rad["sampled_dimension"], rad["lanczos_steps"], rad["svd_fallbacks"]) == (0, 0, 0)
+        assert report["relations"]["p_rad"] is None
 
 
 _KINDS = ["dense", "quasi-triangular", "rank-1", "zero"]

@@ -710,6 +710,11 @@ class TestOneQzPerCall:
         assert main(["indices", ph_pencil_file, "--output-dir", str(tmp_path), "--num-samples", "10"]) == 0
         assert scipy_calls == {"qz": 1, "eig": 0}
 
+    def test_indices_below_nilpotency(self, tmp_path, scipy_calls, ph_pencil_file):
+        # p + 1 < k: radiality forms no shift, and the growth estimates still share the one QZ form
+        assert main(["indices", ph_pencil_file, "--output-dir", str(tmp_path), "--radiality-p", "0"]) == 0
+        assert scipy_calls == {"qz": 1, "eig": 0}
+
     def test_verify_ph(self, tmp_path, scipy_calls, ph_pencil_file):
         assert main(["verify-ph", ph_pencil_file, "--output-dir", str(tmp_path)]) == 0
         assert scipy_calls == {"qz": 1, "eig": 0}
